@@ -10,8 +10,7 @@ Spec grammar: ``--degrees 2,1 --genera 1,0 --profiles "2,1;2,1;2,1;2,1"``
 (``--profiles "2,1^4"`` is accepted sugar).  ``--format text|json|csv``
 selects the output form; text is the default.  Exit codes: 0 success
 (including empty spaces), 1 verification failure, 2 usage or parse error,
-3 enumeration guard exceeded.  ``--threads`` caps parallelism and falls back
-to the HURMONO_THREADS environment variable, then to the available cores.
+3 enumeration guard exceeded.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .golden import (
@@ -33,6 +31,7 @@ from .golden import (
     verify_all,
 )
 from .marked import (
+    BOUNDARY_LABELS,
     HurwitzSpec,
     SpecError,
     TooLargeError,
@@ -67,23 +66,6 @@ def _spec_from_args(args) -> HurwitzSpec:
         raise SpecError(f"--degrees/--genera/--profiles: {exc}") from None
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise SpecError("--threads: must be a positive integer")
-        return args.threads
-    env = os.environ.get("HURMONO_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise SpecError(f"HURMONO_THREADS: not an integer: {env!r}") from None
-        if value < 1:
-            raise SpecError(f"HURMONO_THREADS: must be positive, got {env!r}")
-        return value
-    return os.cpu_count() or 1
-
-
 def _spec_json(spec: HurwitzSpec) -> dict:
     return {
         "degrees": list(spec.degrees),
@@ -98,7 +80,6 @@ def _spec_json(spec: HurwitzSpec) -> dict:
 
 def cmd_sheets(args) -> int:
     spec = _spec_from_args(args)
-    _resolve_threads(args)
     sheets = enumerate_sheets(spec)
     out = io.StringIO()
     if args.format == "text":
@@ -134,8 +115,13 @@ def _nodes_str(nodes) -> str:
 def _local_restriction(graph, report: ComponentReport, boundary: str):
     """The sheet permutation restricted to the component, on local indices."""
     order = {sheet: k for k, sheet in enumerate(report.sheet_indices)}
-    s = graph.s(boundary)
+    s = graph.s[boundary]
     return tuple(order[s[sheet]] for sheet in report.sheet_indices)
+
+
+def _boundary_line(name: str, value) -> str:
+    """``  <name> zero=.. one=.. infty=..`` with value(boundary) per label."""
+    return f"  {name} " + " ".join(f"{b}={value(b)}" for b in BOUNDARY_LABELS) + "\n"
 
 
 def _report_json(graph, reports) -> dict:
@@ -148,10 +134,8 @@ def _report_json(graph, reports) -> dict:
             {
                 "degree": r.degree,
                 "genus": r.genus,
-                "ram": {b: list(r.ram(b)) for b in ("zero", "one", "infty")},
-                "nodes": {
-                    b: [list(mu) for mu in r.nodes(b)] for b in ("zero", "one", "infty")
-                },
+                "ram": {b: list(r.ram[b]) for b in BOUNDARY_LABELS},
+                "nodes": {b: [list(mu) for mu in r.nodes[b]] for b in BOUNDARY_LABELS},
                 "sheets": [k + 1 for k in r.sheet_indices],
             }
             for r in reports
@@ -168,12 +152,8 @@ def report_from_json_obj(obj) -> tuple[ComponentReport, ...]:
                 sheet_indices=tuple(k - 1 for k in c["sheets"]),
                 degree=c["degree"],
                 genus=c["genus"],
-                ram_zero=tuple(c["ram"]["zero"]),
-                ram_one=tuple(c["ram"]["one"]),
-                ram_infty=tuple(c["ram"]["infty"]),
-                nodes_zero=tuple(tuple(mu) for mu in c["nodes"]["zero"]),
-                nodes_one=tuple(tuple(mu) for mu in c["nodes"]["one"]),
-                nodes_infty=tuple(tuple(mu) for mu in c["nodes"]["infty"]),
+                ram={b: tuple(c["ram"][b]) for b in BOUNDARY_LABELS},
+                nodes={b: tuple(tuple(mu) for mu in c["nodes"][b]) for b in BOUNDARY_LABELS},
             )
         )
     return tuple(out)
@@ -181,27 +161,14 @@ def report_from_json_obj(obj) -> tuple[ComponentReport, ...]:
 
 def cmd_report(args) -> int:
     spec = _spec_from_args(args)
-    _resolve_threads(args)
     graph = build_sheet_graph(spec)
     reports = components(graph)
     out = io.StringIO()
     if args.format == "text":
         for k, r in enumerate(reports, start=1):
             out.write(f"component {k}: degree {r.degree}, genus {r.genus}\n")
-            out.write(
-                "  ram zero={} one={} infty={}\n".format(
-                    partition_str(r.ram_zero),
-                    partition_str(r.ram_one),
-                    partition_str(r.ram_infty),
-                )
-            )
-            out.write(
-                "  nodes zero={} one={} infty={}\n".format(
-                    _nodes_str(r.nodes_zero),
-                    _nodes_str(r.nodes_one),
-                    _nodes_str(r.nodes_infty),
-                )
-            )
+            out.write(_boundary_line("ram", lambda b: partition_str(r.ram[b])))
+            out.write(_boundary_line("nodes", lambda b: _nodes_str(r.nodes[b])))
             if args.verbose >= 1:
                 out.write(
                     "  sheets: {}\n".format(
@@ -209,11 +176,7 @@ def cmd_report(args) -> int:
                     )
                 )
                 out.write(
-                    "  s zero={} one={} infty={}\n".format(
-                        perm_str(_local_restriction(graph, r, "zero")),
-                        perm_str(_local_restriction(graph, r, "one")),
-                        perm_str(_local_restriction(graph, r, "infty")),
-                    )
+                    _boundary_line("s", lambda b: perm_str(_local_restriction(graph, r, b)))
                 )
         out.write(f"total {len(graph.sheets)} sheets in {len(reports)} components\n")
         if args.verbose >= 1:
@@ -230,12 +193,8 @@ def cmd_report(args) -> int:
                 "component",
                 "degree",
                 "genus",
-                "ram_zero",
-                "ram_one",
-                "ram_infty",
-                "nodes_zero",
-                "nodes_one",
-                "nodes_infty",
+                *(f"ram_{b}" for b in BOUNDARY_LABELS),
+                *(f"nodes_{b}" for b in BOUNDARY_LABELS),
                 "sheets",
             ]
         )
@@ -245,12 +204,8 @@ def cmd_report(args) -> int:
                     k,
                     r.degree,
                     r.genus,
-                    partition_str(r.ram_zero),
-                    partition_str(r.ram_one),
-                    partition_str(r.ram_infty),
-                    _nodes_str(r.nodes_zero),
-                    _nodes_str(r.nodes_one),
-                    _nodes_str(r.nodes_infty),
+                    *(partition_str(r.ram[b]) for b in BOUNDARY_LABELS),
+                    *(_nodes_str(r.nodes[b]) for b in BOUNDARY_LABELS),
                     " ".join(str(x + 1) for x in r.sheet_indices),
                 ]
             )
@@ -275,8 +230,7 @@ def cmd_verify(args) -> int:
         rows = load_golden_file(args.goldens)
     else:
         rows = default_rows()
-    threads = _resolve_threads(args)
-    summary = verify_all(rows, degree=args.degree, threads=threads)
+    summary = verify_all(rows, degree=args.degree)
     out = io.StringIO()
     if args.format == "text":
         for v in summary.verdicts:
@@ -345,23 +299,22 @@ def build_parser() -> argparse.ArgumentParser:
             help='ramification profiles, e.g. "2,1;2,1;2,1;2,1" or "2,1^4"',
         )
 
-    def add_common(p):
+    def add_format(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--threads", type=int, default=None, help="parallelism cap")
 
     p_sheets = sub.add_parser("sheets", help="enumerate canonical sheets")
     add_spec_flags(p_sheets)
-    add_common(p_sheets)
+    add_format(p_sheets)
     p_sheets.set_defaults(func=cmd_sheets)
 
     p_report = sub.add_parser("report", help="connected components (m = 4)")
     add_spec_flags(p_report)
-    add_common(p_report)
+    add_format(p_report)
     p_report.add_argument("-v", "--verbose", action="count", default=0)
     p_report.set_defaults(func=cmd_report)
 
     p_verify = sub.add_parser("verify", help="check the golden tables")
-    add_common(p_verify)
+    add_format(p_verify)
     p_verify.add_argument("--degree", type=int, default=None, help="filter by total degree")
     p_verify.add_argument("--goldens", default=None, help="path to an alternate golden file")
     p_verify.set_defaults(func=cmd_verify)

@@ -18,7 +18,6 @@ of (component count, genus, target-map degree) triples exactly.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -215,13 +214,13 @@ def _matches(expected: tuple[ExpectTriple, ...], computed) -> bool:
     return not remaining
 
 
-def verify_row(row: GoldenRow, reduce_symmetry: bool = True) -> RowVerdict:
+def verify_row(row: GoldenRow) -> RowVerdict:
     """Recompute one row and compare the component multiset exactly.
 
     Besides the multiset comparison, a fully-asserted row must satisfy the
     bookkeeping identity sum(count * degree) == number of sheets.
     """
-    graph = build_sheet_graph(row.spec, reduce_symmetry=reduce_symmetry)
+    graph = build_sheet_graph(row.spec)
     computed = component_multiset(components(graph))
     passed = _matches(row.expected, computed)
     if passed and row.asserted:
@@ -235,24 +234,10 @@ def verify_row(row: GoldenRow, reduce_symmetry: bool = True) -> RowVerdict:
     )
 
 
-def verify_all(
-    rows=None,
-    degree: int | None = None,
-    threads: int | None = None,
-    reduce_symmetry: bool = True,
-) -> VerifySummary:
+def verify_all(rows=None, degree: int | None = None) -> VerifySummary:
     """Verify rows (default: the shipped table), optionally filtered by total
     degree; row order of the input is preserved in the summary."""
     if rows is None:
         rows = default_rows()
     rows = [row for row in rows if degree is None or row.spec.d == degree]
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(rows) <= 1:
-        verdicts = tuple(verify_row(row, reduce_symmetry=reduce_symmetry) for row in rows)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = tuple(
-                pool.map(lambda r: verify_row(r, reduce_symmetry=reduce_symmetry), rows)
-            )
-    return VerifySummary(verdicts=verdicts)
+    return VerifySummary(verdicts=tuple(verify_row(row) for row in rows))

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from .perms import (
     Partition,
+    MAX_DEGREE,
     Perm,
     all_perms,
     compose,
@@ -37,8 +38,6 @@ from .perms import (
     is_partition,
     orbits,
 )
-
-CANON_MAX_DEGREE = 9
 
 BOUNDARY_LABELS = ("zero", "one", "infty")
 
@@ -169,11 +168,6 @@ def enumerate_markings(p: Perm, mu: Partition) -> tuple[LabelVector, ...]:
     return tuple(out)
 
 
-def marking_map(p: Perm, lab: LabelVector) -> dict[int, int]:
-    """The marking as {cycle minimum (1-indexed): label}."""
-    return {c[0] + 1: lab[c[0]] for c in cycle_decomposition(p)}
-
-
 def valid_marking(p: Perm, lab: LabelVector, mu: Partition) -> bool:
     """Check lab is constant on cycles and bijects them onto labels of mu."""
     if len(lab) != len(p):
@@ -243,11 +237,10 @@ def canonicalize(t: MarkedTuple) -> MarkedTuple:
     """Minimum of {transport_marking(w, t) : w in S_d} under tuple_key.
 
     Exhaustive over all d! conjugators (two-stage: images first, then
-    markings over the achievers).  Guarded to d <= CANON_MAX_DEGREE.
+    markings over the achievers).  Raises TooLargeError for d > MAX_DEGREE.
     """
-    d = t.degree
-    if d > CANON_MAX_DEGREE:
-        raise TooLargeError("instance too large: canonical forms need d <= 9")
+    if t.degree > MAX_DEGREE:
+        raise TooLargeError(f"instance too large: canonical forms need d <= {MAX_DEGREE}")
     cu, achievers = _unmarked_minimum(t.perms)
     best_key = None
     best_labels = None

@@ -19,6 +19,7 @@ the three ramification partitions.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .marked import (
@@ -38,6 +39,7 @@ from .perms import (
     compose,
     compose_all,
     conjugate,
+    cycle_decomposition,
     cycle_type,
     identity,
     inverse,
@@ -94,57 +96,46 @@ MOVES = {"zero": move_zero, "one": move_one, "infty": move_infty}
 
 @dataclass(frozen=True)
 class SheetGraph:
-    """Canonical sheets plus the three induced permutations of their indices."""
+    """Canonical sheets plus the three induced permutations of their indices,
+    keyed by BOUNDARY_LABELS."""
 
     spec: HurwitzSpec
     sheets: tuple[MarkedTuple, ...]
-    s_zero: tuple[int, ...]
-    s_one: tuple[int, ...]
-    s_infty: tuple[int, ...]
-
-    def s(self, boundary: str) -> tuple[int, ...]:
-        return {"zero": self.s_zero, "one": self.s_one, "infty": self.s_infty}[boundary]
+    s: Mapping[str, tuple[int, ...]]
 
     @property
     def boundary_product_is_identity(self) -> bool:
-        """Empirical record: does applying s_zero, then s_one, then s_infty
-        give the identity?  (The loops around the three boundary points
-        compose, in that order, to a contractible loop.)
+        """Empirical record: does applying s["zero"], then s["one"], then
+        s["infty"] give the identity?  (The loops around the three boundary
+        points compose, in that order, to a contractible loop.)
 
         Not asserted anywhere; reported for the curious.
         """
         n = len(self.sheets)
         if n == 0:
             return True
-        return compose_all((self.s_infty, self.s_one, self.s_zero)) == tuple(range(n))
+        return compose_all(self.s[b] for b in reversed(BOUNDARY_LABELS)) == tuple(range(n))
 
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """One connected component of the space as a cover of the target moduli."""
+    """One connected component of the space as a cover of the target moduli.
+
+    ``ram`` and ``nodes`` are keyed by BOUNDARY_LABELS.
+    """
 
     sheet_indices: tuple[int, ...]
     degree: int
     genus: int
-    ram_zero: Partition
-    ram_one: Partition
-    ram_infty: Partition
-    nodes_zero: tuple[Partition, ...]
-    nodes_one: tuple[Partition, ...]
-    nodes_infty: tuple[Partition, ...]
-
-    def ram(self, boundary: str) -> Partition:
-        return {"zero": self.ram_zero, "one": self.ram_one, "infty": self.ram_infty}[boundary]
-
-    def nodes(self, boundary: str) -> tuple[Partition, ...]:
-        return {"zero": self.nodes_zero, "one": self.nodes_one, "infty": self.nodes_infty}[boundary]
+    ram: Mapping[str, Partition]
+    nodes: Mapping[str, tuple[Partition, ...]]
 
 
-def build_sheet_graph(spec: HurwitzSpec, reduce_symmetry: bool = True) -> SheetGraph:
+def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
     """Enumerate the sheets and the action of the three moves on them."""
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
-    sheets = enumerate_sheets(spec, reduce_symmetry=reduce_symmetry)
+    sheets = enumerate_sheets(spec)
     index = {tuple_key(t): k for k, t in enumerate(sheets)}
     maps = {}
     for boundary, mover in MOVES.items():
@@ -162,37 +153,14 @@ def build_sheet_graph(spec: HurwitzSpec, reduce_symmetry: bool = True) -> SheetG
         if sorted(images) != list(range(len(sheets))):
             raise InvariantViolation(f"move around {boundary} is not a bijection of sheets")
         maps[boundary] = tuple(images)
-    return SheetGraph(
-        spec=spec,
-        sheets=sheets,
-        s_zero=maps["zero"],
-        s_one=maps["one"],
-        s_infty=maps["infty"],
-    )
-
-
-def _restricted_cycles(perm: tuple[int, ...], members: set[int]) -> list[list[int]]:
-    seen = set()
-    cycles = []
-    for start in sorted(members):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = perm[x]
-        cycles.append(cyc)
-    return cycles
+    return SheetGraph(spec=spec, sheets=sheets, s=maps)
 
 
 def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     """Connected components with target-map degree, ramification, and genus.
 
-    Per component of the group generated by s_zero, s_one, s_infty: degree is
-    the orbit size, ram over each boundary is the cycle type of the
+    Per component of the group generated by the three sheet permutations:
+    degree is the orbit size, ram over each boundary is the cycle type of the
     restricted permutation, the genus comes from
     2g - 2 = -2 degree + sum over boundaries of sum of (part - 1), and the
     node profiles collect cycle_type(node_product(.)) for one sheet per cycle.
@@ -201,43 +169,52 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     n = len(graph.sheets)
     if n == 0:
         return ()
+    comps = orbits([graph.s[b] for b in BOUNDARY_LABELS], n)
+    comp_of = [0] * n
+    for k, orbit in enumerate(comps):
+        for x in orbit:
+            comp_of[x] = k
+    # cycles[b][k]: the cycles of s[b] inside component k
+    cycles = {b: [[] for _ in comps] for b in BOUNDARY_LABELS}
+    for b in BOUNDARY_LABELS:
+        for c in cycle_decomposition(graph.s[b]):
+            cycles[b][comp_of[c[0]]].append(c)
     reports = []
-    for orbit in orbits([graph.s_zero, graph.s_one, graph.s_infty], n):
-        members = set(orbit)
+    for k, orbit in enumerate(comps):
         degree = len(orbit)
-        rams = {}
-        nodes = {}
-        ram_sum = 0
-        for boundary in BOUNDARY_LABELS:
-            cycles = _restricted_cycles(graph.s(boundary), members)
-            rams[boundary] = tuple(sorted((len(c) for c in cycles), reverse=True))
-            ram_sum += sum(len(c) - 1 for c in cycles)
-            nodes[boundary] = tuple(
-                sorted(
-                    (cycle_type(node_product(graph.sheets[c[0]], boundary)) for c in cycles),
-                    reverse=True,
-                )
-            )
-        two_g = 2 - 2 * degree + ram_sum
+        total_ram = sum(len(c) - 1 for b in BOUNDARY_LABELS for c in cycles[b][k])
+        two_g = 2 - 2 * degree + total_ram
         if two_g % 2 or two_g < 0:
             raise InvariantViolation(
                 f"component of degree {degree} has invalid genus ({two_g}/2)"
             )
         reports.append(
             ComponentReport(
-                sheet_indices=tuple(orbit),
+                sheet_indices=orbit,
                 degree=degree,
                 genus=two_g // 2,
-                ram_zero=rams["zero"],
-                ram_one=rams["one"],
-                ram_infty=rams["infty"],
-                nodes_zero=nodes["zero"],
-                nodes_one=nodes["one"],
-                nodes_infty=nodes["infty"],
+                ram={
+                    b: tuple(sorted((len(c) for c in cycles[b][k]), reverse=True))
+                    for b in BOUNDARY_LABELS
+                },
+                nodes={
+                    b: tuple(
+                        sorted(
+                            (
+                                cycle_type(node_product(graph.sheets[c[0]], b))
+                                for c in cycles[b][k]
+                            ),
+                            reverse=True,
+                        )
+                    )
+                    for b in BOUNDARY_LABELS
+                },
             )
         )
     reports.sort(
-        key=lambda r: (r.degree, r.genus, r.ram_zero, r.ram_one, r.ram_infty, r.sheet_indices)
+        key=lambda r: (
+            r.degree, r.genus, *(r.ram[b] for b in BOUNDARY_LABELS), r.sheet_indices
+        )
     )
     return tuple(reports)
 

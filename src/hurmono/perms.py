@@ -14,7 +14,9 @@ so ``compose(p, q)`` applies ``q`` and then ``p``, and conjugation is
 conjugate are the w-images of the cycles of ``p``: the cycle (a_1 ... a_r)
 becomes (w(a_1) ... w(a_r)).
 
-Degrees above MAX_DEGREE are rejected; nothing here needs big-group support.
+MAX_DEGREE = 9 is the package's one degree guard: ``check_degree`` rejects
+larger degrees with DegreeError, and the enumeration and canonical forms,
+which scan all d! conjugators, raise TooLargeError above it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ Perm = tuple[int, ...]
 Partition = tuple[int, ...]
 Cycle = tuple[int, ...]
 
-MAX_DEGREE = 16
+MAX_DEGREE = 9
 
 
 class DegreeError(ValueError):
@@ -189,9 +191,7 @@ def orbits(perms, d: int | None = None) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def all_perms(d: int) -> tuple[Perm, ...]:
-    """All d! permutations of degree d, in lexicographic order (d <= 9)."""
-    if d > 9:
-        raise DegreeError(f"full symmetric group only generated for d <= 9, got {d}")
+    """All d! permutations of degree d, in lexicographic order."""
     check_degree(d)
     return tuple(itertools.permutations(range(d)))
 

@@ -1,19 +1,16 @@
 """Sheet enumeration: one canonical marked tuple per simultaneous-conjugacy
 class compatible with a Hurwitz spec.
 
-Generation iterates sigma_1..sigma_{m-1} over their conjugacy classes and
-forces sigma_m to close the product; candidates failing the last cycle type
-or the component-signature filter are dropped.  Distinct candidates landing
+Generation fixes sigma_1 to a single representative of its conjugacy class
+(every conjugacy class of tuples contains a tuple of that shape), iterates
+sigma_2..sigma_{m-1} over their conjugacy classes and forces sigma_m to close
+the product; candidates failing the last cycle type or the
+component-signature filter are dropped.  Distinct candidates landing
 in the same unmarked conjugacy class are merged, and per unmarked class the
 markings are swept in ascending order while knocking out the orbit of each
 new representative under the class centralizer.  The first-seen marking of
 each orbit is therefore exactly the canonical one, so the sweep emits
 canonical sheets directly.
-
-``reduce_symmetry`` restricts sigma_1 to a single class representative
-(every conjugacy class of tuples contains one of that shape); results are
-bit-identical with the flag on or off, only the number of candidate tuples
-visited changes.
 """
 
 from __future__ import annotations
@@ -27,19 +24,17 @@ from .marked import (
     _unmarked_minimum,
     enumerate_markings,
     signature_of_perms,
-    transport_labels,
     tuple_key,
 )
-from .perms import compose_all, conjugacy_class, cycle_type, inverse
+from .perms import MAX_DEGREE, compose_all, conjugacy_class, cycle_type, inverse
 
-MAX_ENUM_DEGREE = 9
 MAX_ENUM_FIBERS = 6
 
 
 def _check_guards(spec: HurwitzSpec) -> None:
-    if spec.d > MAX_ENUM_DEGREE:
+    if spec.d > MAX_DEGREE:
         raise TooLargeError(
-            f"instance too large: enumeration supports d <= {MAX_ENUM_DEGREE}, got {spec.d}"
+            f"instance too large: enumeration supports d <= {MAX_DEGREE}, got {spec.d}"
         )
     if spec.m > MAX_ENUM_FIBERS:
         raise TooLargeError(
@@ -47,7 +42,7 @@ def _check_guards(spec: HurwitzSpec) -> None:
         )
 
 
-def enumerate_sheets(spec: HurwitzSpec, reduce_symmetry: bool = True) -> tuple[MarkedTuple, ...]:
+def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
     """All sheets of the space over the open target moduli, sorted canonically.
 
     Exactly one representative per simultaneous-conjugacy class of marked
@@ -58,12 +53,11 @@ def enumerate_sheets(spec: HurwitzSpec, reduce_symmetry: bool = True) -> tuple[M
     d = spec.d
     want = spec.signature
     classes = [conjugacy_class(mu, d) for mu in spec.profiles]
-    first = classes[0][:1] if reduce_symmetry else classes[0]
     last_mu = spec.profiles[-1]
 
     sheets: list[MarkedTuple] = []
     seen_unmarked: set[tuple] = set()
-    for prefix in itertools.product(first, *classes[1:-1]):
+    for prefix in itertools.product(classes[0][:1], *classes[1:-1]):
         last = inverse(compose_all(prefix))
         if cycle_type(last) != last_mu:
             continue
@@ -101,6 +95,6 @@ def _sheets_of_unmarked_class(perms, spec: HurwitzSpec) -> list[MarkedTuple]:
     return out
 
 
-def count_sheets(spec: HurwitzSpec, reduce_symmetry: bool = True) -> int:
+def count_sheets(spec: HurwitzSpec) -> int:
     """Number of sheets of the space; 0 for empty spaces."""
-    return len(enumerate_sheets(spec, reduce_symmetry=reduce_symmetry))
+    return len(enumerate_sheets(spec))

@@ -142,7 +142,7 @@ def test_criterion_6_move_invariant_suite(golden_rows):
         graph = build_sheet_graph(row.spec)
         n = len(graph.sheets)
         for b in ("zero", "one", "infty"):
-            assert sorted(graph.s(b)) == list(range(n)), (row.line_no, b)
+            assert sorted(graph.s[b]) == list(range(n)), (row.line_no, b)
         e = identity(row.spec.d) if n else None
         for t in graph.sheets:
             sig = component_signature(t)
@@ -175,7 +175,7 @@ def test_criterion_7_riemann_hurwitz_consistency(golden_rows):
         assert sum(r.degree for r in reports) == len(graph.sheets), row.line_no
         for r in reports:
             ram_total = sum(
-                p - 1 for b in ("zero", "one", "infty") for p in r.ram(b)
+                p - 1 for b in ("zero", "one", "infty") for p in r.ram[b]
             )
             assert isinstance(r.genus, int) and r.genus >= 0, row.line_no
             assert ram_total == 2 * r.degree - 2 + 2 * r.genus, row.line_no

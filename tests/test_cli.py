@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -10,18 +11,11 @@ from hurmono import build_sheet_graph, components, make_spec
 from hurmono.cli import report_from_json_obj
 
 
-def run_cli(*args, env_extra=None, check=False):
-    import os
-
-    env = dict(os.environ)
-    env.pop("HURMONO_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, check=False):
     proc = subprocess.run(
         [sys.executable, "-m", "hurmono", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.returncode}\n{proc.stderr}")
@@ -251,25 +245,6 @@ def test_unknown_subcommand_is_usage_error():
     assert proc.returncode == 2
 
 
-def test_threads_env_fallback():
-    proc = run_cli("verify", "--degree", "2", env_extra={"HURMONO_THREADS": "2"})
-    assert proc.returncode == 0
-    bad = run_cli("verify", "--degree", "2", env_extra={"HURMONO_THREADS": "many"})
-    assert bad.returncode == 2
-    assert "HURMONO_THREADS" in bad.stderr
-    flag_wins = run_cli(
-        "verify", "--degree", "2", "--threads", "1",
-        env_extra={"HURMONO_THREADS": "many"},
-    )
-    assert flag_wins.returncode == 0
-
-
-def test_threads_flag_validation():
-    proc = run_cli("verify", "--degree", "2", "--threads", "0")
-    assert proc.returncode == 2
-    assert "--threads" in proc.stderr
-
-
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_byte_identical_reruns(fmt):
     args = (
@@ -282,7 +257,64 @@ def test_byte_identical_reruns(fmt):
     assert first.stdout == second.stdout
 
 
-def test_verify_output_independent_of_threads():
-    one = run_cli("verify", "--degree", "3", "--threads", "1", check=True)
-    four = run_cli("verify", "--degree", "3", "--threads", "4", check=True)
-    assert one.stdout == four.stdout
+# stdout sha256 of `report -v` and `verify` in every format.  Reruns only
+# show determinism; these pin the bytes themselves, so a refactor of a writer
+# must keep them.  Record new values only for an intended change of output.
+DEG4 = ("report", "--degrees", "4", "--genera", "2", "--profiles", "4;4;3,1;3,1")
+DEG5 = ("report", "--degrees", "5", "--genera", "3", "--profiles", "5;5;4,1;4,1")
+VERIFY3 = ("verify", "--degree", "3")
+PINNED_OUTPUT = [
+    (
+        "deg4-text",
+        (*DEG4, "-v"),
+        "2aaf906466bb17dce846b13d97b5c01a9cd20978b0b61903c010b3decd86f70d",
+    ),
+    (
+        "deg4-json",
+        (*DEG4, "--format", "json"),
+        "83762dfe0d5aa8c94270c6d78763ed6b8ade20bc792b5245b4953db76597703c",
+    ),
+    (
+        "deg4-csv",
+        (*DEG4, "--format", "csv"),
+        "fee6a0d3e2e8ac3691707400e395d2a91f8940861eda5c13aab160324e8bec4d",
+    ),
+    (
+        "deg5-text",
+        (*DEG5, "-v"),
+        "e580d6887b317c46ae98ffb0df84b7356f6f692e9ae59c8ff0be6bfeb8102ce8",
+    ),
+    (
+        "deg5-json",
+        (*DEG5, "--format", "json"),
+        "20aa679c61b6630c40bbc710a57ae4dfd73acaeec1cc76472d6cf8b395e78fc4",
+    ),
+    (
+        "deg5-csv",
+        (*DEG5, "--format", "csv"),
+        "41cbd3714e5a6532d051f429cd42d72e4e5624d3730640d1f8fbb316629f0c75",
+    ),
+    (
+        "verify3-text",
+        VERIFY3,
+        "13886b0183512d70ed6c827aed4287c7482fd9cbce4b068f3dd96aece305c69a",
+    ),
+    (
+        "verify3-json",
+        (*VERIFY3, "--format", "json"),
+        "8f2be21d24d6c409c9b3acccf06eba0d50a774ff87092eea8853477b242e8114",
+    ),
+    (
+        "verify3-csv",
+        (*VERIFY3, "--format", "csv"),
+        "e8f7c0b4446bb3cdf8dd910687e2c9e8a702b01312436ed92aa2690cff7f740c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, sha256", [c[1:] for c in PINNED_OUTPUT], ids=[c[0] for c in PINNED_OUTPUT]
+)
+def test_output_pinned(args, sha256):
+    proc = run_cli(*args, check=True)
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == sha256

@@ -128,11 +128,6 @@ def test_verify_all_summary(golden_rows):
     assert summary.all_passed
 
 
-def test_verify_all_threading_is_invisible(golden_rows):
-    rows = [row for row in golden_rows if row.spec.d == 2]
-    assert verify_all(rows, threads=1) == verify_all(rows, threads=4)
-
-
 def test_verify_all_full_tally(golden_rows):
     summary = verify_all(golden_rows)
     assert len(summary.verdicts) == 52

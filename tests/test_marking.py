@@ -21,8 +21,9 @@ from hurmono import (
     tuple_key,
     validate_marked_tuple,
 )
-from hurmono.marked import CANON_MAX_DEGREE, signature_of_perms, valid_marking
+from hurmono.marked import signature_of_perms, valid_marking
 from hurmono.perms import (
+    MAX_DEGREE,
     compose_all,
     cycle_type,
     identity,
@@ -132,7 +133,7 @@ def test_canonicalize_constant_on_orbits(tw):
 
 
 def test_canonicalize_degree_guard():
-    d = CANON_MAX_DEGREE + 1
+    d = MAX_DEGREE + 1
     e = tuple(range(d))
     t = MarkedTuple(perms=(e,) * 4, labels=(tuple(range(1, d + 1)),) * 4)
     with pytest.raises(TooLargeError):

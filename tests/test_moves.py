@@ -169,7 +169,7 @@ def test_sheet_maps_are_bijections(args):
     graph = build_sheet_graph(make_spec(*args))
     n = len(graph.sheets)
     for b in ("zero", "one", "infty"):
-        assert sorted(graph.s(b)) == list(range(n))
+        assert sorted(graph.s[b]) == list(range(n))
 
 
 @pytest.mark.parametrize("args", GRAPH_SPECS)
@@ -200,10 +200,10 @@ def test_components_partition_and_report():
     for r in reports:
         assert r.degree == len(r.sheet_indices)
         for b in ("zero", "one", "infty"):
-            assert sum(r.ram(b)) == r.degree
-            assert len(r.nodes(b)) == len(r.ram(b))
+            assert sum(r.ram[b]) == r.degree
+            assert len(r.nodes[b]) == len(r.ram[b])
         # Riemann-Hurwitz over the three boundary points
-        total = sum(p - 1 for b in ("zero", "one", "infty") for p in r.ram(b))
+        total = sum(p - 1 for b in ("zero", "one", "infty") for p in r.ram[b])
         assert total == 2 * r.degree - 2 + 2 * r.genus
 
 
@@ -213,7 +213,7 @@ def test_report_sheets_stay_within_component():
     for r in components(graph):
         members = set(r.sheet_indices)
         for b in ("zero", "one", "infty"):
-            assert {graph.s(b)[i] for i in members} == members
+            assert {graph.s[b][i] for i in members} == members
 
 
 def test_moves_permute_the_sheet_set():

@@ -14,7 +14,7 @@ from hurmono import (
     tuple_key,
     validate_marked_tuple,
 )
-from hurmono.sheets import MAX_ENUM_DEGREE
+from hurmono.perms import MAX_DEGREE
 
 
 def spec_for(signature, profiles):
@@ -60,6 +60,18 @@ def test_oracle_equivalence_degree3_sample(profiles):
     assert_matches_oracle(3, profiles)
 
 
+@pytest.mark.parametrize(
+    "profiles",
+    [
+        ((3, 1),) * 4,
+        ((2, 2),) * 4,
+        ((4,), (4,), (3, 1), (3, 1)),
+    ],
+)
+def test_oracle_equivalence_degree4_sample(profiles):
+    assert_matches_oracle(4, profiles)
+
+
 def test_sheets_are_canonical_sorted_and_valid():
     spec = make_spec("3", "0", "2,1^4")
     sheets = enumerate_sheets(spec)
@@ -70,14 +82,6 @@ def test_sheets_are_canonical_sorted_and_valid():
         validate_marked_tuple(t, spec)
         assert canonicalize(t) == t
         assert component_signature(t) == spec.signature
-
-
-def test_symmetry_reduction_is_invisible():
-    for args in [("3", "0", "2,1^4"), ("2,1", "0,0", "2,1;2,1;1,1,1;1,1,1"), ("4", "1", "3,1^4")]:
-        spec = make_spec(*args)
-        assert enumerate_sheets(spec, reduce_symmetry=True) == enumerate_sheets(
-            spec, reduce_symmetry=False
-        )
 
 
 def test_empty_by_parity():
@@ -107,8 +111,8 @@ def test_known_counts():
 
 
 def test_degree_guard():
-    big = str(MAX_ENUM_DEGREE + 1)
-    profile = ",".join(["1"] * (MAX_ENUM_DEGREE + 1))
+    big = str(MAX_DEGREE + 1)
+    profile = ",".join(["1"] * (MAX_DEGREE + 1))
     with pytest.raises(TooLargeError, match="instance too large"):
         enumerate_sheets(make_spec(big, "0", ";".join([profile] * 4)))
 
