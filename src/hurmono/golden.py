@@ -174,11 +174,13 @@ def parse_golden(text: str, source: str = "<golden>") -> tuple[GoldenRow, ...]:
     return tuple(rows)
 
 
+def format_expect(expected: tuple[ExpectTriple, ...]) -> str:
+    """The ``count:genus:degree,...`` text of an expect field, ``?`` included."""
+    return ",".join(f"{c}:{g}:{'?' if deg is None else deg}" for c, g, deg in expected)
+
+
 def format_golden_row(row: GoldenRow) -> str:
-    expect = ",".join(
-        f"{c}:{g}:{'?' if deg is None else deg}" for c, g, deg in row.expected
-    )
-    return f"{spec_line(row.spec)} expect={expect}"
+    return f"{spec_line(row.spec)} expect={format_expect(row.expected)}"
 
 
 def load_golden_file(path: str | os.PathLike) -> tuple[GoldenRow, ...]:

@@ -205,16 +205,16 @@ def transport_marking(w: Perm, t: MarkedTuple) -> MarkedTuple:
     )
 
 
+def markings_key(perms: tuple[Perm, ...], labels: tuple[LabelVector, ...]) -> tuple[int, ...]:
+    """The marking_key of every fiber, concatenated: the order on markings."""
+    return tuple(
+        itertools.chain.from_iterable(marking_key(p, lab) for p, lab in zip(perms, labels))
+    )
+
+
 def tuple_key(t: MarkedTuple):
     """Total order key: concatenated images, then markings in cycle order."""
-    return (
-        tuple(itertools.chain.from_iterable(t.perms)),
-        tuple(
-            itertools.chain.from_iterable(
-                marking_key(p, lab) for p, lab in zip(t.perms, t.labels)
-            )
-        ),
-    )
+    return (tuple(itertools.chain.from_iterable(t.perms)), markings_key(t.perms, t.labels))
 
 
 @lru_cache(maxsize=65536)
@@ -246,11 +246,7 @@ def canonicalize(t: MarkedTuple) -> MarkedTuple:
     best_labels = None
     for w in achievers:
         labels = transport_labels(w, t.labels)
-        key = tuple(
-            itertools.chain.from_iterable(
-                marking_key(p, lab) for p, lab in zip(cu, labels)
-            )
-        )
+        key = markings_key(cu, labels)
         if best_key is None or key < best_key:
             best_key = key
             best_labels = labels
@@ -278,12 +274,23 @@ def validate_marked_tuple(t: MarkedTuple, spec: HurwitzSpec | None = None) -> No
 # source-curve invariants
 
 
+def riemann_hurwitz_genus(size: int, ram: int, what: str) -> int:
+    """Genus of a degree-``size`` cover of a genus-0 curve with total
+    ramification ``ram``: 2g - 2 = -2 size + ram.
+
+    Raises InvariantViolation, naming ``what``, if 2g is odd or negative.
+    """
+    two_g = 2 - 2 * size + ram
+    if two_g % 2 or two_g < 0:
+        raise InvariantViolation(f"{what} of size {size} has invalid genus ({two_g}/2)")
+    return two_g // 2
+
+
 def signature_of_perms(perms: tuple[Perm, ...], d: int) -> tuple[tuple[int, int], ...]:
     """Multiset of (orbit size, orbit genus) pairs, as a sorted tuple.
 
-    The genus of an orbit O is given by Riemann-Hurwitz over a genus-0 target:
-    g(O) = 1 - |O| + (1/2) * sum over fibers of sum over cycles c inside O of
-    (|c| - 1).
+    The genus of an orbit O is riemann_hurwitz_genus of |O| and the sum over
+    fibers of sum over cycles c inside O of (|c| - 1).
     """
     cycles_per_fiber = [cycle_decomposition(p) for p in perms]
     sig = []
@@ -296,12 +303,7 @@ def signature_of_perms(perms: tuple[Perm, ...], d: int) -> tuple[tuple[int, int]
             for c in cycles
             if c[0] in members
         )
-        two_g = 2 - 2 * n + ram
-        if two_g % 2 or two_g < 0:
-            raise InvariantViolation(
-                f"orbit {tuple(x + 1 for x in orbit)} has invalid genus ({two_g}/2)"
-            )
-        sig.append((n, two_g // 2))
+        sig.append((n, riemann_hurwitz_genus(n, ram, "orbit")))
     return tuple(sorted(sig))
 
 
@@ -312,13 +314,14 @@ def component_signature(t: MarkedTuple) -> tuple[tuple[int, int], ...]:
 
 def node_product(t: MarkedTuple, boundary: str) -> Perm:
     """The permutation whose cycle type is the ramification profile over the
-    node appearing at the named boundary degeneration (m = 4 only).
+    node appearing at the named boundary degeneration (m = 4 only), and the
+    main conjugator of the move around it (see ``moves``).
 
     infty -> sigma_3 sigma_4; one -> sigma_2 (sigma_3 sigma_4 sigma_3^-1);
     zero -> sigma_1 (sigma_2 sigma_3 sigma_4 sigma_3^-1 sigma_2^-1).
     """
     if t.m != 4:
-        raise SpecError("node products require exactly 4 marked fibers")
+        raise SpecError("monodromy requires exactly 4 marked fibers")
     s1, s2, s3, s4 = t.perms
     if boundary == "infty":
         return compose(s3, s4)

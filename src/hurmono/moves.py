@@ -4,17 +4,19 @@ Transporting a 4-marked target around each of the three boundary points of
 its moduli induces a move on monodromy tuples.  Each move conjugates every
 fiber by an explicit word in the sigma_i -- the *conjugator tuple* w below --
 so sigma_i becomes tau_i = w_i sigma_i w_i^-1 and the fiber's marking is
-transported through w_i.  The three moves are:
+transported through w_i.  With N_b = marked.node_product(t, b), the node
+product at boundary point b, the three moves are:
 
-  around infty:  w = (e, e, s3 s4, s3)
-  around one:    w = (e, s2 s3 s4 s3^-1, e, s3^-1 s2 s3)
-  around zero:   w = (s1 W, e, e, s3^-1 s2^-1 s1 s2 s3),  W = s2 s3 s4 s3^-1 s2^-1
+  around infty:  w = (e, e, N_infty, s3)
+  around one:    w = (e, N_one, e, s3^-1 s2 s3)
+  around zero:   w = (N_zero, e, e, s3^-1 s2^-1 s1 s2 s3)
 
-Each move permutes the canonical sheet set of a space; the resulting three
-permutations generate the monodromy group of the target map, whose orbits
-are the connected components of the space.  Per component, Riemann-Hurwitz
-over the genus-0 moduli of 4-marked targets gives the component genus from
-the three ramification partitions.
+Each move permutes the canonical sheet set of a space, and the moves around
+zero, then one, then infty compose to the identity; build_sheet_graph checks
+both.  The three permutations generate the monodromy group of the target
+map, whose orbits are the connected components of the space.  Per
+component, Riemann-Hurwitz over the genus-0 moduli of 4-marked targets gives
+the component genus from the three ramification partitions.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from .marked import (
     SpecError,
     canonicalize,
     node_product,
+    riemann_hurwitz_genus,
     transport_labels,
     tuple_key,
 )
 from .perms import (
     Partition,
     Perm,
-    compose,
     compose_all,
     conjugate,
     cycle_decomposition,
@@ -57,38 +59,29 @@ def _apply_conjugators(ws: tuple[Perm, ...], t: MarkedTuple) -> MarkedTuple:
     )
 
 
-def _require_four(t: MarkedTuple) -> None:
-    if t.m != 4:
-        raise SpecError("monodromy requires exactly 4 marked fibers")
-
-
 def move_infty(t: MarkedTuple) -> MarkedTuple:
-    """The move around infty: conjugators (e, e, s3 s4, s3)."""
-    _require_four(t)
+    """The move around infty: conjugators (e, e, N_infty, s3)."""
+    node = node_product(t, "infty")
     s1, s2, s3, s4 = t.perms
     e = identity(t.degree)
-    return _apply_conjugators((e, e, compose(s3, s4), s3), t)
+    return _apply_conjugators((e, e, node, s3), t)
 
 
 def move_one(t: MarkedTuple) -> MarkedTuple:
-    """The move around one: conjugators (e, s2 s3 s4 s3^-1, e, s3^-1 s2 s3)."""
-    _require_four(t)
+    """The move around one: conjugators (e, N_one, e, s3^-1 s2 s3)."""
+    node = node_product(t, "one")
     s1, s2, s3, s4 = t.perms
     e = identity(t.degree)
-    w2 = compose_all((s2, s3, s4, inverse(s3)))
-    w4 = compose_all((inverse(s3), s2, s3))
-    return _apply_conjugators((e, w2, e, w4), t)
+    return _apply_conjugators((e, node, e, conjugate(inverse(s3), s2)), t)
 
 
 def move_zero(t: MarkedTuple) -> MarkedTuple:
-    """The move around zero: conjugators (s1 W, e, e, s3^-1 s2^-1 s1 s2 s3)."""
-    _require_four(t)
+    """The move around zero: conjugators (N_zero, e, e, s3^-1 s2^-1 s1 s2 s3)."""
+    node = node_product(t, "zero")
     s1, s2, s3, s4 = t.perms
     e = identity(t.degree)
-    w_big = compose_all((s2, s3, s4, inverse(s3), inverse(s2)))
-    w1 = compose(s1, w_big)
-    w4 = compose_all((inverse(s3), inverse(s2), s1, s2, s3))
-    return _apply_conjugators((w1, e, e, w4), t)
+    w4 = conjugate(inverse(s3), conjugate(inverse(s2), s1))
+    return _apply_conjugators((node, e, e, w4), t)
 
 
 MOVES = {"zero": move_zero, "one": move_one, "infty": move_infty}
@@ -102,19 +95,6 @@ class SheetGraph:
     spec: HurwitzSpec
     sheets: tuple[MarkedTuple, ...]
     s: Mapping[str, tuple[int, ...]]
-
-    @property
-    def boundary_product_is_identity(self) -> bool:
-        """Empirical record: does applying s["zero"], then s["one"], then
-        s["infty"] give the identity?  (The loops around the three boundary
-        points compose, in that order, to a contractible loop.)
-
-        Not asserted anywhere; reported for the curious.
-        """
-        n = len(self.sheets)
-        if n == 0:
-            return True
-        return compose_all(self.s[b] for b in reversed(BOUNDARY_LABELS)) == tuple(range(n))
 
 
 @dataclass(frozen=True)
@@ -132,7 +112,12 @@ class ComponentReport:
 
 
 def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
-    """Enumerate the sheets and the action of the three moves on them."""
+    """Enumerate the sheets and the action of the three moves on them.
+
+    Raises InvariantViolation unless each move permutes the sheets and the
+    moves around zero, then one, then infty compose to the identity (the
+    loops around the three boundary points compose to a contractible loop).
+    """
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
     sheets = enumerate_sheets(spec)
@@ -153,6 +138,10 @@ def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
         if sorted(images) != list(range(len(sheets))):
             raise InvariantViolation(f"move around {boundary} is not a bijection of sheets")
         maps[boundary] = tuple(images)
+    if compose_all(maps[b] for b in reversed(BOUNDARY_LABELS)) != tuple(range(len(sheets))):
+        raise InvariantViolation(
+            f"moves around zero, then one, then infty do not compose to e on {spec}"
+        )
     return SheetGraph(spec=spec, sheets=sheets, s=maps)
 
 
@@ -161,8 +150,8 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
 
     Per component of the group generated by the three sheet permutations:
     degree is the orbit size, ram over each boundary is the cycle type of the
-    restricted permutation, the genus comes from
-    2g - 2 = -2 degree + sum over boundaries of sum of (part - 1), and the
+    restricted permutation, the genus is riemann_hurwitz_genus of the degree
+    and the sum over boundaries of sum of (part - 1), and the
     node profiles collect cycle_type(node_product(.)) for one sheet per cycle.
     Sorted by (degree, genus, ram) for reproducibility.
     """
@@ -183,16 +172,11 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     for k, orbit in enumerate(comps):
         degree = len(orbit)
         total_ram = sum(len(c) - 1 for b in BOUNDARY_LABELS for c in cycles[b][k])
-        two_g = 2 - 2 * degree + total_ram
-        if two_g % 2 or two_g < 0:
-            raise InvariantViolation(
-                f"component of degree {degree} has invalid genus ({two_g}/2)"
-            )
         reports.append(
             ComponentReport(
                 sheet_indices=orbit,
                 degree=degree,
-                genus=two_g // 2,
+                genus=riemann_hurwitz_genus(degree, total_ram, "component"),
                 ram={
                     b: tuple(sorted((len(c) for c in cycles[b][k]), reverse=True))
                     for b in BOUNDARY_LABELS

@@ -21,7 +21,12 @@ from hurmono import (
     tuple_key,
     validate_marked_tuple,
 )
-from hurmono.marked import signature_of_perms, valid_marking
+from hurmono.marked import (
+    InvariantViolation,
+    riemann_hurwitz_genus,
+    signature_of_perms,
+    valid_marking,
+)
 from hurmono.perms import (
     MAX_DEGREE,
     compose_all,
@@ -200,6 +205,18 @@ def test_signature_is_sorted_and_sums(t):
     assert list(sig) == sorted(sig)
     assert all(genus >= 0 for _, genus in sig)
     assert sig == signature_of_perms(t.perms, t.degree)
+
+
+def test_riemann_hurwitz_genus():
+    # a degree-2 cover with four simple branch points is an elliptic curve
+    assert riemann_hurwitz_genus(2, 4, "orbit") == 1
+    assert riemann_hurwitz_genus(1, 0, "orbit") == 0
+
+
+@pytest.mark.parametrize("size, ram, two_g", [(2, 3, 1), (3, 2, -2)])
+def test_riemann_hurwitz_genus_rejects_odd_or_negative(size, ram, two_g):
+    with pytest.raises(InvariantViolation, match=rf"component of size {size} .*\({two_g}/2\)"):
+        riemann_hurwitz_genus(size, ram, "component")
 
 
 # ---------------------------------------------------------------------------

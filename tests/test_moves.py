@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from hurmono import (
     MOVES,
+    InvariantViolation,
     MarkedTuple,
     SpecError,
     build_sheet_graph,
@@ -19,6 +20,7 @@ from hurmono import (
     node_product,
     validate_marked_tuple,
 )
+from hurmono import moves
 from hurmono.perms import (
     compose,
     compose_all,
@@ -174,8 +176,22 @@ def test_sheet_maps_are_bijections(args):
 
 @pytest.mark.parametrize("args", GRAPH_SPECS)
 def test_boundary_product_relation(args):
+    # zero acts first, then one, then infty
     graph = build_sheet_graph(make_spec(*args))
-    assert graph.boundary_product_is_identity
+    product = compose_all((graph.s["infty"], graph.s["one"], graph.s["zero"]))
+    assert product == tuple(range(len(graph.sheets)))
+
+
+@pytest.mark.parametrize(
+    "args", [("3", "0", "2,1^4"), ("4", "1", "3,1^4"), ("4", "2", "4;4;3,1;3,1")]
+)
+def test_broken_boundary_relation_is_caught(monkeypatch, args):
+    # With the move around one in place of the move around zero, every move
+    # still permutes the sheets of these spaces, but zero, then one, then
+    # infty no longer compose to the identity.
+    monkeypatch.setitem(moves.MOVES, "zero", move_one)
+    with pytest.raises(InvariantViolation, match="do not compose"):
+        build_sheet_graph(make_spec(*args))
 
 
 def test_graph_requires_four_fibers():
@@ -187,7 +203,6 @@ def test_empty_graph():
     graph = build_sheet_graph(make_spec("2", "0", "2;1,1;1,1;1,1"))
     assert graph.sheets == ()
     assert components(graph) == ()
-    assert graph.boundary_product_is_identity
 
 
 def test_components_partition_and_report():
