@@ -9,8 +9,8 @@ Subcommands:
 Spec grammar: ``--degrees 2,1 --genera 1,0 --profiles "2,1;2,1;2,1;2,1"``
 (``--profiles "2,1^4"`` is accepted sugar).  ``--format text|json|csv``
 selects the output form; text is the default.  Exit codes: 0 success
-(including empty spaces), 1 verification failure, 2 usage or parse error,
-3 enumeration guard exceeded.
+(including empty spaces), 1 verification failure, 2 usage or parse error
+(or a ``verify`` that selects no rows), 3 enumeration guard exceeded.
 """
 
 from __future__ import annotations
@@ -226,6 +226,11 @@ def cmd_verify(args) -> int:
     else:
         rows = default_rows()
     summary = verify_all(rows, degree=args.degree)
+    if not summary.verdicts:
+        where = f" of total degree {args.degree}" if args.degree is not None else ""
+        source = args.goldens or "the shipped golden table"
+        print(f"error: no rows{where} in {source}", file=sys.stderr)
+        return 2
     out = io.StringIO()
     if args.format == "text":
         for v in summary.verdicts:

@@ -314,8 +314,7 @@ def component_signature(t: MarkedTuple) -> tuple[tuple[int, int], ...]:
 
 def node_product(t: MarkedTuple, boundary: str) -> Perm:
     """The permutation whose cycle type is the ramification profile over the
-    node appearing at the named boundary degeneration (m = 4 only), and the
-    main conjugator of the move around it (see ``moves``).
+    node appearing at the named boundary degeneration (m = 4 only).
 
     infty -> sigma_3 sigma_4; one -> sigma_2 (sigma_3 sigma_4 sigma_3^-1);
     zero -> sigma_1 (sigma_2 sigma_3 sigma_4 sigma_3^-1 sigma_2^-1).

@@ -1,15 +1,17 @@
 """Monodromy of the target map for m = 4 marked fibers.
 
 Transporting a 4-marked target around each of the three boundary points of
-its moduli induces a move on monodromy tuples.  Each move conjugates every
-fiber by an explicit word in the sigma_i -- the *conjugator tuple* w below --
-so sigma_i becomes tau_i = w_i sigma_i w_i^-1 and the fiber's marking is
-transported through w_i.  With N_b = marked.node_product(t, b), the node
-product at boundary point b, the three moves are:
+its moduli induces a move on monodromy tuples: a pure braid, written as a
+word in the half-twists b_1, b_2, b_3.  b_i acts on fibers i and i+1 by
 
-  around infty:  w = (e, e, N_infty, s3)
-  around one:    w = (e, N_one, e, s3^-1 s2 s3)
-  around zero:   w = (N_zero, e, e, s3^-1 s2^-1 s1 s2 s3)
+  b_i:     (sigma_i, sigma_{i+1}) -> (sigma_i sigma_{i+1} sigma_i^-1, sigma_i)
+  b_i^-1:  (sigma_i, sigma_{i+1}) -> (sigma_{i+1}, sigma_{i+1}^-1 sigma_i sigma_{i+1})
+
+and the conjugated fiber's marking is transported through its conjugator.
+Applied left to right, the moves are infty = b3 b3, one = b2^-1 b3 b3 b2 and
+zero = b1^-1 b2^-1 b3 b3 b2 b1.  Each word equals the per-fiber conjugation
+of README.md's move table, whose main conjugator is the node product at the
+move's own boundary point.
 
 Each move permutes the canonical sheet set of a space, and the moves around
 zero, then one, then infty compose to the identity; build_sheet_graph checks
@@ -28,12 +30,12 @@ from .marked import (
     BOUNDARY_LABELS,
     HurwitzSpec,
     InvariantViolation,
+    LabelVector,
     MarkedTuple,
     SpecError,
     canonicalize,
     node_product,
     riemann_hurwitz_genus,
-    transport_labels,
     tuple_key,
 )
 from .perms import (
@@ -43,48 +45,44 @@ from .perms import (
     conjugate,
     cycle_decomposition,
     cycle_type,
-    identity,
     inverse,
     orbits,
 )
 from .sheets import enumerate_sheets
 
 
-def _apply_conjugators(ws: tuple[Perm, ...], t: MarkedTuple) -> MarkedTuple:
-    return MarkedTuple(
-        perms=tuple(conjugate(w, p) for w, p in zip(ws, t.perms)),
-        labels=tuple(
-            transport_labels(w, (lab,))[0] for w, lab in zip(ws, t.labels)
-        ),
-    )
+def half_twist(
+    perms: tuple[Perm, ...], labels: tuple[LabelVector, ...], i: int, sign: int
+) -> tuple[tuple[Perm, ...], tuple[LabelVector, ...]]:
+    """b_i (sign > 0) or b_i^-1 (sign < 0) on fibers i and i+1, counted from 1."""
+    a, b = perms[i - 1], perms[i]
+    la, lb = labels[i - 1], labels[i]
+    if sign > 0:
+        pair = (conjugate(a, b), a)
+        marks = (tuple(lb[x] for x in inverse(a)), la)
+    else:
+        pair = (b, conjugate(inverse(b), a))
+        marks = (lb, tuple(la[x] for x in b))
+    return perms[: i - 1] + pair + perms[i + 1 :], labels[: i - 1] + marks + labels[i + 1 :]
 
 
-def move_infty(t: MarkedTuple) -> MarkedTuple:
-    """The move around infty: conjugators (e, e, N_infty, s3)."""
-    node = node_product(t, "infty")
-    s1, s2, s3, s4 = t.perms
-    e = identity(t.degree)
-    return _apply_conjugators((e, e, node, s3), t)
+# Each move as a braid word applied left to right: k stands for b_k, -k for b_k^-1.
+WORDS = {"zero": (-1, -2, 3, 3, 2, 1), "one": (-2, 3, 3, 2), "infty": (3, 3)}
 
 
-def move_one(t: MarkedTuple) -> MarkedTuple:
-    """The move around one: conjugators (e, N_one, e, s3^-1 s2 s3)."""
-    node = node_product(t, "one")
-    s1, s2, s3, s4 = t.perms
-    e = identity(t.degree)
-    return _apply_conjugators((e, node, e, conjugate(inverse(s3), s2)), t)
+def _braid_move(word: tuple[int, ...]):
+    def move(t: MarkedTuple) -> MarkedTuple:
+        if t.m != 4:
+            raise SpecError("monodromy requires exactly 4 marked fibers")
+        perms, labels = t.perms, t.labels
+        for k in word:
+            perms, labels = half_twist(perms, labels, abs(k), k)
+        return MarkedTuple(perms=perms, labels=labels)
+
+    return move
 
 
-def move_zero(t: MarkedTuple) -> MarkedTuple:
-    """The move around zero: conjugators (N_zero, e, e, s3^-1 s2^-1 s1 s2 s3)."""
-    node = node_product(t, "zero")
-    s1, s2, s3, s4 = t.perms
-    e = identity(t.degree)
-    w4 = conjugate(inverse(s3), conjugate(inverse(s2), s1))
-    return _apply_conjugators((node, e, e, w4), t)
-
-
-MOVES = {"zero": move_zero, "one": move_one, "infty": move_infty}
+MOVES = {b: _braid_move(WORDS[b]) for b in BOUNDARY_LABELS}
 
 
 @dataclass(frozen=True)

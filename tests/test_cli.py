@@ -196,6 +196,24 @@ def test_verify_goldens_parse_error_location(tmp_path):
     assert f"{path}:3:" in proc.stderr
 
 
+def test_verify_degree_filter_selecting_nothing_is_an_error():
+    proc = run_cli("verify", "--degree", "42")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "total degree 42" in proc.stderr
+
+
+def test_verify_goldens_file_without_rows_is_an_error(tmp_path):
+    path = tmp_path / "comments.txt"
+    path.write_text("# only a comment\n\n# and another\n")
+    proc = run_cli("verify", "--goldens", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert str(path) in proc.stderr
+
+
 def test_verify_missing_goldens_file():
     proc = run_cli("verify", "--goldens", "/no/such/file.txt")
     assert proc.returncode == 2

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import o_conjugate, o_move_conjugators, o_relabel
 
 from hurmono import (
+    BOUNDARY_LABELS,
     MOVES,
     InvariantViolation,
     MarkedTuple,
@@ -14,17 +18,15 @@ from hurmono import (
     enumerate_markings,
     enumerate_sheets,
     make_spec,
-    move_infty,
-    move_one,
-    move_zero,
     node_product,
+    transport_marking,
     validate_marked_tuple,
 )
 from hurmono import moves
+from hurmono.moves import WORDS, half_twist
 from hurmono.perms import (
     compose,
     compose_all,
-    conjugate,
     cycle_type,
     identity,
     inverse,
@@ -49,52 +51,58 @@ def marked_tuples(draw, max_degree=5):
 
 
 # ---------------------------------------------------------------------------
-# the moves against independently spelled-out formulas
+# the braid words against the oracle's conjugator table
 
 
-def _conj_with_labels(t, ws):
-    """Reference implementation: conjugate fiber i by ws[i], labels riding."""
-    perms = tuple(conjugate(w, p) for w, p in zip(ws, t.perms))
-    labels = []
-    for w, p, lab in zip(ws, t.perms, t.labels):
-        winv = inverse(w)
-        labels.append(tuple(lab[winv[x]] for x in range(len(w))))
-    return MarkedTuple(perms=perms, labels=tuple(labels))
+def random_marked_tuples(count, max_degree, seed):
+    """``count`` seeded random marked tuples with m = 4 and d <= max_degree.
+
+    A plain loop rather than ``marked_tuples``: hypothesis takes about
+    twenty times as long per example here.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, max_degree)
+        prefix = [tuple(rng.sample(range(d), d)) for _ in range(3)]
+        perms = tuple(prefix) + (inverse(compose_all(prefix)),)
+        labels = tuple(rng.choice(enumerate_markings(p, cycle_type(p))) for p in perms)
+        yield MarkedTuple(perms=perms, labels=labels)
 
 
-@given(marked_tuples())
-def test_move_infty_formula(t):
-    s1, s2, s3, s4 = t.perms
-    e = identity(t.degree)
-    ws = (e, e, compose(s3, s4), s3)
-    assert move_infty(t) == _conj_with_labels(t, ws)
+@pytest.mark.parametrize("boundary", BOUNDARY_LABELS)
+def test_move_matches_oracle_conjugators(boundary):
+    # fiber i is conjugated by w_i of README's table, its labels riding along
+    for t in random_marked_tuples(3000, max_degree=7, seed=11):
+        ws = o_move_conjugators(t.perms)[boundary]
+        expected = MarkedTuple(
+            perms=tuple(o_conjugate(w, p) for w, p in zip(ws, t.perms)),
+            labels=tuple(o_relabel(w, lab) for w, lab in zip(ws, t.labels)),
+        )
+        assert MOVES[boundary](t) == expected, t
 
 
-@given(marked_tuples())
-def test_move_one_formula(t):
-    s1, s2, s3, s4 = t.perms
-    e = identity(t.degree)
-    ws = (
-        e,
-        compose_all([s2, s3, s4, inverse(s3)]),
-        e,
-        compose_all([inverse(s3), s2, s3]),
-    )
-    assert move_one(t) == _conj_with_labels(t, ws)
+@settings(deadline=None)
+@given(marked_tuples(max_degree=7))
+def test_boundary_relation_on_every_tuple(t):
+    # zero, then one, then infty is conjugation by sigma_4 -- the identity on
+    # sheets, though not on the tuple itself
+    moved = t
+    for b in BOUNDARY_LABELS:
+        moved = MOVES[b](moved)
+    assert moved == transport_marking(t.perms[3], t)
+    for i in (1, 2, 3):
+        for sign in (1, -1):
+            there = half_twist(t.perms, t.labels, i, sign)
+            assert half_twist(*there, i, -sign) == (t.perms, t.labels)
 
 
-@given(marked_tuples())
-def test_move_zero_formula(t):
-    s1, s2, s3, s4 = t.perms
-    e = identity(t.degree)
-    big = compose_all([s2, s3, s4, inverse(s3), inverse(s2)])
-    ws = (
-        compose(s1, big),
-        e,
-        e,
-        compose_all([inverse(s3), inverse(s2), s1, s2, s3]),
-    )
-    assert move_zero(t) == _conj_with_labels(t, ws)
+def test_words_are_pure_braids():
+    for b, word in WORDS.items():
+        strands = [1, 2, 3, 4]
+        for k in word:
+            i = abs(k)
+            strands[i - 1], strands[i] = strands[i], strands[i - 1]
+        assert strands == [1, 2, 3, 4], b
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +112,18 @@ def test_move_zero_formula(t):
 @given(marked_tuples())
 def test_conservation_laws(t):
     s1, s2, s3, s4 = t.perms
-    ti = move_infty(t)
+    ti = MOVES["infty"](t)
     assert ti.perms[0] == s1
     assert ti.perms[1] == s2
     assert compose(ti.perms[2], ti.perms[3]) == compose(s3, s4)
 
-    to = move_one(t)
+    to = MOVES["one"](t)
     assert to.perms[0] == s1
     assert to.perms[2] == s3
     word = lambda p: compose_all([p[1], p[2], p[3], inverse(p[2])])
     assert word(to.perms) == word(t.perms)
 
-    tz = move_zero(t)
+    tz = MOVES["zero"](t)
     assert tz.perms[1] == s2
     assert tz.perms[2] == s3
     outer = lambda p: compose_all([p[0], p[1], p[2], p[3], inverse(p[2]), inverse(p[1])])
@@ -189,7 +197,7 @@ def test_broken_boundary_relation_is_caught(monkeypatch, args):
     # With the move around one in place of the move around zero, every move
     # still permutes the sheets of these spaces, but zero, then one, then
     # infty no longer compose to the identity.
-    monkeypatch.setitem(moves.MOVES, "zero", move_one)
+    monkeypatch.setitem(moves.MOVES, "zero", moves.MOVES["one"])
     with pytest.raises(InvariantViolation, match="do not compose"):
         build_sheet_graph(make_spec(*args))
 
