@@ -171,11 +171,7 @@ def cmd_report(args) -> int:
             out.write(_boundary_line("ram", lambda b: partition_str(r.ram[b])))
             out.write(_boundary_line("nodes", lambda b: _nodes_str(r.nodes[b])))
             if args.verbose >= 1:
-                out.write(
-                    "  sheets: {}\n".format(
-                        ",".join(str(k + 1) for k in r.sheet_indices)
-                    )
-                )
+                out.write("  sheets: " + ",".join(str(k + 1) for k in r.sheet_indices) + "\n")
                 out.write(
                     _boundary_line("s", lambda b: perm_str(_local_restriction(graph, r, b)))
                 )
@@ -216,10 +212,6 @@ def cmd_report(args) -> int:
 # verify
 
 
-def _computed_str(computed) -> str:
-    return ",".join(f"{c}:{g}:{deg}" for c, g, deg in computed) or "(empty)"
-
-
 def cmd_verify(args) -> int:
     if args.goldens:
         rows = load_golden_file(args.goldens)
@@ -240,7 +232,7 @@ def cmd_verify(args) -> int:
             else:
                 out.write(f"{line}: FAIL\n")
                 out.write(f"  expected {format_expect(v.row.expected)}\n")
-                out.write(f"  computed {_computed_str(v.computed)}\n")
+                out.write(f"  computed {format_expect(v.computed) or '(empty)'}\n")
         out.write(f"{summary.n_pass}/{len(summary.verdicts)} pass\n")
     elif args.format == "json":
         payload = {
@@ -249,10 +241,8 @@ def cmd_verify(args) -> int:
                 {
                     "line": v.row.line_no,
                     "spec": _spec_json(v.row.spec),
-                    "expected": [
-                        [c, g, deg] for c, g, deg in v.row.expected
-                    ],
-                    "computed": [[c, g, deg] for c, g, deg in v.computed],
+                    "expected": [list(t) for t in v.row.expected],
+                    "computed": [list(t) for t in v.computed],
                     "passed": v.passed,
                 }
                 for v in summary.verdicts
@@ -270,7 +260,7 @@ def cmd_verify(args) -> int:
                     v.row.line_no,
                     spec_line(v.row.spec),
                     format_expect(v.row.expected),
-                    _computed_str(v.computed),
+                    format_expect(v.computed) or "(empty)",
                     "pass" if v.passed else "fail",
                 ]
             )

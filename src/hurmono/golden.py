@@ -184,8 +184,15 @@ def format_golden_row(row: GoldenRow) -> str:
 
 
 def load_golden_file(path: str | os.PathLike) -> tuple[GoldenRow, ...]:
-    with open(path, encoding="utf-8") as handle:
-        return parse_golden(handle.read(), source=os.fspath(path))
+    """Parse a golden file; GoldenParseError names the line of a non-UTF-8 byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data[: exc.start].count(b"\n") + 1
+        raise GoldenParseError(f"not UTF-8: {exc.reason}", os.fspath(path), line_no) from None
+    return parse_golden(text, source=os.fspath(path))
 
 
 def default_rows() -> tuple[GoldenRow, ...]:

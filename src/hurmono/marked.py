@@ -28,7 +28,6 @@ from .perms import (
     MAX_DEGREE,
     Perm,
     all_perms,
-    compose,
     compose_all,
     conjugate,
     cycle_decomposition,
@@ -310,25 +309,6 @@ def signature_of_perms(perms: tuple[Perm, ...], d: int) -> tuple[tuple[int, int]
 def component_signature(t: MarkedTuple) -> tuple[tuple[int, int], ...]:
     """Signature of a marked tuple's permutation part; see signature_of_perms."""
     return signature_of_perms(t.perms, t.degree)
-
-
-def node_product(t: MarkedTuple, boundary: str) -> Perm:
-    """The permutation whose cycle type is the ramification profile over the
-    node appearing at the named boundary degeneration (m = 4 only).
-
-    infty -> sigma_3 sigma_4; one -> sigma_2 (sigma_3 sigma_4 sigma_3^-1);
-    zero -> sigma_1 (sigma_2 sigma_3 sigma_4 sigma_3^-1 sigma_2^-1).
-    """
-    if t.m != 4:
-        raise SpecError("monodromy requires exactly 4 marked fibers")
-    s1, s2, s3, s4 = t.perms
-    if boundary == "infty":
-        return compose(s3, s4)
-    if boundary == "one":
-        return compose(s2, conjugate(s3, s4))
-    if boundary == "zero":
-        return compose(s1, conjugate(s2, conjugate(s3, s4)))
-    raise ValueError(f"unknown boundary label {boundary!r}")
 
 
 # ---------------------------------------------------------------------------

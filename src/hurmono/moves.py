@@ -1,17 +1,18 @@
 """Monodromy of the target map for m = 4 marked fibers.
 
-Transporting a 4-marked target around each of the three boundary points of
-its moduli induces a move on monodromy tuples: a pure braid, written as a
-word in the half-twists b_1, b_2, b_3.  b_i acts on fibers i and i+1 by
+At each of the three boundary points of the moduli of 4-marked targets,
+fiber i = COLLIDING[b] collides with fiber 4.  The loop around b induces the
+full twist of that pair, Artin's pure braid A_{i4}, as a move on monodromy
+tuples: a word in the half-twists b_1, b_2, b_3, where b_i acts on fibers
+i and i+1 by
 
   b_i:     (sigma_i, sigma_{i+1}) -> (sigma_i sigma_{i+1} sigma_i^-1, sigma_i)
   b_i^-1:  (sigma_i, sigma_{i+1}) -> (sigma_{i+1}, sigma_{i+1}^-1 sigma_i sigma_{i+1})
 
 and the conjugated fiber's marking is transported through its conjugator.
-Applied left to right, the moves are infty = b3 b3, one = b2^-1 b3 b3 b2 and
-zero = b1^-1 b2^-1 b3 b3 b2 b1.  Each word equals the per-fiber conjugation
-of README.md's move table, whose main conjugator is the node product at the
-move's own boundary point.
+Applied left to right, A_{i4} = b_3 ... b_{i+1} b_i b_i b_{i+1}^-1 ... b_3^-1:
+the prefix carries fiber 4 next to fiber i and the full twist conjugates the
+pair by its product, the node product at b (README.md's main conjugator).
 
 Each move permutes the canonical sheet set of a space, and the moves around
 zero, then one, then infty compose to the identity; build_sheet_graph checks
@@ -34,13 +35,13 @@ from .marked import (
     MarkedTuple,
     SpecError,
     canonicalize,
-    node_product,
     riemann_hurwitz_genus,
     tuple_key,
 )
 from .perms import (
     Partition,
     Perm,
+    compose,
     compose_all,
     conjugate,
     cycle_decomposition,
@@ -66,8 +67,26 @@ def half_twist(
     return perms[: i - 1] + pair + perms[i + 1 :], labels[: i - 1] + marks + labels[i + 1 :]
 
 
-# Each move as a braid word applied left to right: k stands for b_k, -k for b_k^-1.
-WORDS = {"zero": (-1, -2, 3, 3, 2, 1), "one": (-2, 3, 3, 2), "infty": (3, 3)}
+# At boundary point b, fiber COLLIDING[b] collides with fiber 4.  WORDS[b] is the
+# move A_{i4} applied left to right: k stands for b_k, -k for b_k^-1.
+COLLIDING = {"zero": 1, "one": 2, "infty": 3}
+WORDS = {b: (*range(3, i, -1), i, i, *range(-i - 1, -4, -1)) for b, i in COLLIDING.items()}
+
+
+def node_product(t: MarkedTuple, boundary: str) -> Perm:
+    """The permutation whose cycle type is the ramification profile over the
+    node at the named boundary point (m = 4 only): sigma_i times sigma_4
+    carried through sigma_3, ..., sigma_{i+1}, for i = COLLIDING[boundary].
+    """
+    if t.m != 4:
+        raise SpecError("monodromy requires exactly 4 marked fibers")
+    if boundary not in COLLIDING:
+        raise ValueError(f"unknown boundary label {boundary!r}")
+    i = COLLIDING[boundary]
+    carried = t.perms[3]
+    for j in range(3, i, -1):
+        carried = conjugate(t.perms[j - 1], carried)
+    return compose(t.perms[i - 1], carried)
 
 
 def _braid_move(word: tuple[int, ...]):
@@ -149,8 +168,9 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     Per component of the group generated by the three sheet permutations:
     degree is the orbit size, ram over each boundary is the cycle type of the
     restricted permutation, the genus is riemann_hurwitz_genus of the degree
-    and the sum over boundaries of sum of (part - 1), and the
-    node profiles collect cycle_type(node_product(.)) for one sheet per cycle.
+    and the sum over boundaries of sum of (part - 1), and the node profiles
+    collect cycle_type(node_product(., b)) for one sheet per cycle of s[b]
+    (the move around b fixes the node product at b).
     Sorted by (degree, genus, ram) for reproducibility.
     """
     n = len(graph.sheets)

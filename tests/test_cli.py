@@ -196,6 +196,18 @@ def test_verify_goldens_parse_error_location(tmp_path):
     assert f"{path}:3:" in proc.stderr
 
 
+def test_verify_goldens_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(
+        b"degrees=2 genera=1 profiles=2;2;2;2 expect=1:0:1\n# caf\xff\n"
+    )
+    proc = run_cli("verify", "--goldens", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {path}:2: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_degree_filter_selecting_nothing_is_an_error():
     proc = run_cli("verify", "--degree", "42")
     assert proc.returncode == 2
