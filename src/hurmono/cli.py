@@ -170,13 +170,13 @@ def cmd_report(args) -> int:
             out.write(f"component {k}: degree {r.degree}, genus {r.genus}\n")
             out.write(_boundary_line("ram", lambda b: partition_str(r.ram[b])))
             out.write(_boundary_line("nodes", lambda b: _nodes_str(r.nodes[b])))
-            if args.verbose >= 1:
+            if args.verbose:
                 out.write("  sheets: " + ",".join(str(k + 1) for k in r.sheet_indices) + "\n")
                 out.write(
                     _boundary_line("s", lambda b: perm_str(_local_restriction(graph, r, b)))
                 )
         out.write(f"total {len(graph.sheets)} sheets in {len(reports)} components\n")
-        if args.verbose >= 1:
+        if args.verbose:
             # build_sheet_graph raises unless the relation holds
             out.write("s_zero*s_one*s_infty is identity: yes\n")
     elif args.format == "json":
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="connected components (m = 4)")
     add_spec_flags(p_report)
     add_format(p_report)
-    p_report.add_argument("-v", "--verbose", action="count", default=0)
+    p_report.add_argument("-v", "--verbose", action="store_true")
     p_report.set_defaults(func=cmd_report)
 
     p_verify = sub.add_parser("verify", help="check the golden tables")

@@ -192,7 +192,7 @@ def load_golden_file(path: str | os.PathLike) -> tuple[GoldenRow, ...]:
     except UnicodeDecodeError as exc:
         line_no = data[: exc.start].count(b"\n") + 1
         raise GoldenParseError(f"not UTF-8: {exc.reason}", os.fspath(path), line_no) from None
-    return parse_golden(text, source=os.fspath(path))
+    return parse_golden(text.removeprefix("\ufeff"), source=os.fspath(path))
 
 
 def default_rows() -> tuple[GoldenRow, ...]:

@@ -146,15 +146,16 @@ def enumerate_markings(p: Perm, mu: Partition) -> tuple[LabelVector, ...]:
     """
     mu = tuple(mu)
     cycles = cycle_decomposition(p)
-    if cycle_type(p) != mu:
-        raise ValueError(f"cycle type {cycle_type(p)} does not match profile {mu}")
+    lengths = tuple([len(c) for c in cycles])
+    if lengths != mu:
+        raise ValueError(f"cycle type {lengths} does not match profile {mu}")
     # Canonical cycle order puts equal lengths contiguously (lengths descend),
     # so a marking is a choice, per length, of a permutation of that length's
     # label indices; iterating each block's permutations lexicographically
     # yields vectors in ascending marking_key order.
     blocks = [
         [j + 1 for j, part in enumerate(mu) if part == length]
-        for length, _ in itertools.groupby(len(c) for c in cycles)
+        for length, _ in itertools.groupby(lengths)
     ]
     out = []
     for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
@@ -241,15 +242,11 @@ def canonicalize(t: MarkedTuple) -> MarkedTuple:
     if t.degree > MAX_DEGREE:
         raise TooLargeError(f"instance too large: canonical forms need d <= {MAX_DEGREE}")
     cu, achievers = _unmarked_minimum(t.perms)
-    best_key = None
-    best_labels = None
-    for w in achievers:
-        labels = transport_labels(w, t.labels)
-        key = markings_key(cu, labels)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_labels = labels
-    return MarkedTuple(perms=cu, labels=best_labels)
+    labels = min(
+        (transport_labels(w, t.labels) for w in achievers),
+        key=lambda lab: markings_key(cu, lab),
+    )
+    return MarkedTuple(perms=cu, labels=labels)
 
 
 def validate_marked_tuple(t: MarkedTuple, spec: HurwitzSpec | None = None) -> None:

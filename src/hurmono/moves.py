@@ -181,7 +181,7 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     for k, orbit in enumerate(comps):
         for x in orbit:
             comp_of[x] = k
-    # cycles[b][k]: the cycles of s[b] inside component k
+    # cycles[b][k]: the cycles of s[b] inside component k, in canonical order
     cycles = {b: [[] for _ in comps] for b in BOUNDARY_LABELS}
     for b in BOUNDARY_LABELS:
         for c in cycle_decomposition(graph.s[b]):
@@ -195,10 +195,7 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
                 sheet_indices=orbit,
                 degree=degree,
                 genus=riemann_hurwitz_genus(degree, total_ram, "component"),
-                ram={
-                    b: tuple(sorted((len(c) for c in cycles[b][k]), reverse=True))
-                    for b in BOUNDARY_LABELS
-                },
+                ram={b: tuple([len(c) for c in cycles[b][k]]) for b in BOUNDARY_LABELS},
                 nodes={
                     b: tuple(
                         sorted(

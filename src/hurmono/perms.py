@@ -14,6 +14,14 @@ so ``compose(p, q)`` applies ``q`` and then ``p``, and conjugation is
 conjugate are the w-images of the cycles of ``p``: the cycle (a_1 ... a_r)
 becomes (w(a_1) ... w(a_r)).
 
+The walks in ``cycle_decomposition`` and ``orbits`` fix the package's
+canonical orders, and every caller takes them as given.  Each walk starts a
+new cycle or orbit at the smallest point not yet seen; every smaller point
+already lies in an earlier one, so each cycle or orbit starts at its own
+minimum and the starts ascend.  Cycles are then ordered by length descending
+with ties by minimum ascending, so ``cycle_type`` is their lengths as listed;
+orbits are sorted inside and listed by minimum.
+
 MAX_DEGREE = 9 is the package's one degree guard: ``check_degree`` rejects
 larger degrees with DegreeError, and the enumeration and canonical forms,
 which scan all d! conjugators, raise TooLargeError above it.
@@ -120,7 +128,8 @@ def cycle_decomposition(p: Perm) -> tuple[Cycle, ...]:
             seen[x] = True
             x = p[x]
         cycles.append(tuple(cyc))
-    cycles.sort(key=lambda c: (-len(c), c[0]))
+    # stable: equal lengths keep the walk's ascending minima
+    cycles.sort(key=len, reverse=True)
     return tuple(cycles)
 
 
@@ -149,7 +158,7 @@ def cycle_type(p: Perm) -> Partition:
     >>> cycle_type(parse_perm("(1 2)(3 4)", 5))
     (2, 2, 1)
     """
-    return tuple(sorted((len(c) for c in cycle_decomposition(p)), reverse=True))
+    return tuple([len(c) for c in cycle_decomposition(p)])
 
 
 def orbits(perms, d: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -186,7 +195,7 @@ def orbits(perms, d: int | None = None) -> tuple[tuple[int, ...], ...]:
                     seen[y] = True
                     stack.append(y)
         out.append(tuple(sorted(orbit)))
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -248,12 +257,8 @@ def parse_perm(text: str, d: int) -> Perm:
     cycles = []
     for group in _CYCLE_RE.findall(text):
         points = tuple(int(e) - 1 for e in group.split())
-        if not points:
-            continue
-        for x in points:
-            if not 0 <= x < d:
-                raise DegreeError(f"point {x + 1} out of range 1..{d}")
-        cycles.append(points)
+        if points:
+            cycles.append(points)
     return from_cycles(cycles, d)
 
 

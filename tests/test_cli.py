@@ -188,6 +188,14 @@ def test_verify_goldens_override(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "1/1 pass"
 
 
+def test_verify_goldens_with_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfdegrees=2 genera=1 profiles=2;2;2;2 expect=1:0:1\n")
+    proc = run_cli("verify", "--goldens", str(path))
+    assert proc.returncode == 0
+    assert proc.stdout.strip().splitlines()[-1] == "1/1 pass"
+
+
 def test_verify_goldens_parse_error_location(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# c\ndegrees=2 genera=1 profiles=2;2;2;2 expect=1:0:1\nwat\n")

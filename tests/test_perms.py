@@ -137,6 +137,22 @@ def test_orbits():
         orbits([])
 
 
+@given(
+    st.integers(1, 8).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(perms_of_degree(d), max_size=4))
+    )
+)
+def test_orbits_partition_in_canonical_order(d_gens):
+    d, gens = d_gens
+    out = orbits(gens, d)
+    assert sorted(x for orbit in out for x in orbit) == list(range(d))
+    for orbit in out:
+        assert list(orbit) == sorted(orbit)
+        for p in gens:
+            assert {p[x] for x in orbit} == set(orbit)
+    assert [orbit[0] for orbit in out] == sorted(orbit[0] for orbit in out)
+
+
 @given(st.integers(1, 6))
 def test_orbits_of_full_cycle(d):
     p = tuple(range(1, d)) + (0,)
