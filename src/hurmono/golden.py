@@ -24,6 +24,7 @@ from importlib import resources
 from .marked import HurwitzSpec, SpecError
 from .moves import build_sheet_graph, component_multiset, components
 from .perms import parse_partition, partition_str
+from .sheets import check_fiber_count
 
 DEFAULT_GOLDEN_RESOURCE = "data/golden_tables.txt"
 
@@ -91,8 +92,9 @@ def parse_int_csv(text: str, what: str) -> tuple[int, ...]:
 
 
 def parse_profiles(text: str) -> tuple[tuple[int, ...], ...]:
-    """Parse semicolon-separated profiles with optional ``^k`` repetition."""
-    profiles = []
+    """Parse semicolon-separated profiles with optional ``^k`` repetition;
+    the fibers are counted against the guard before ``^k`` is expanded."""
+    parsed = []
     for segment in text.split(";"):
         segment = segment.strip()
         base, caret, reps = segment.partition("^")
@@ -108,8 +110,9 @@ def parse_profiles(text: str) -> tuple[tuple[int, ...], ...]:
             mu = parse_partition(base)
         except ValueError as exc:
             raise SpecError(str(exc)) from None
-        profiles.extend([mu] * count)
-    return tuple(profiles)
+        parsed.append((mu, count))
+    check_fiber_count(sum(count for _, count in parsed))
+    return tuple(mu for mu, count in parsed for _ in range(count))
 
 
 def make_spec(degrees: str, genera: str, profiles: str) -> HurwitzSpec:

@@ -205,6 +205,15 @@ def all_perms(d: int) -> tuple[Perm, ...]:
     return tuple(itertools.permutations(range(d)))
 
 
+def centralizer(p: Perm) -> tuple[Perm, ...]:
+    """All w with conjugate(w, p) == p, in lexicographic order.
+
+    >>> [perm_str(w) for w in centralizer(parse_perm("(1 2)", 4))]
+    ['()', '(3 4)', '(1 2)', '(1 2)(3 4)']
+    """
+    return tuple(w for w in all_perms(len(p)) if conjugate(w, p) == p)
+
+
 @lru_cache(maxsize=None)
 def conjugacy_class(mu: Partition, d: int) -> tuple[Perm, ...]:
     """All permutations of degree d with cycle type mu, in lexicographic order."""

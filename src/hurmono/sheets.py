@@ -2,10 +2,11 @@
 class compatible with a Hurwitz spec.
 
 Generation fixes sigma_1 to a single representative of its conjugacy class
-(every conjugacy class of tuples contains a tuple of that shape), iterates
-sigma_2..sigma_{m-1} over their conjugacy classes and forces sigma_m to close
-the product; candidates failing the last cycle type or the
-component-signature filter are dropped.  Distinct candidates landing
+(every conjugacy class of tuples contains a tuple of that shape), takes one
+sigma_2 per Z(sigma_1)-orbit of its class (conjugating by the centralizer
+keeps sigma_1), iterates sigma_3..sigma_{m-1} over their conjugacy classes and
+forces sigma_m to close the product; candidates failing the last cycle type or
+the component-signature filter are dropped.  Distinct candidates landing
 in the same unmarked conjugacy class are merged, and per unmarked class the
 markings are swept in ascending order while knocking out the orbit of each
 new representative under the class centralizer.  The first-seen marking of
@@ -26,7 +27,15 @@ from .marked import (
     signature_of_perms,
     tuple_key,
 )
-from .perms import MAX_DEGREE, compose_all, conjugacy_class, cycle_type, inverse
+from .perms import (
+    MAX_DEGREE,
+    centralizer,
+    compose_all,
+    conjugacy_class,
+    conjugate,
+    cycle_type,
+    inverse,
+)
 
 MAX_ENUM_FIBERS = 6
 
@@ -36,9 +45,13 @@ def _check_guards(spec: HurwitzSpec) -> None:
         raise TooLargeError(
             f"instance too large: enumeration supports d <= {MAX_DEGREE}, got {spec.d}"
         )
-    if spec.m > MAX_ENUM_FIBERS:
+    check_fiber_count(spec.m)
+
+
+def check_fiber_count(m: int) -> None:
+    if m > MAX_ENUM_FIBERS:
         raise TooLargeError(
-            f"instance too large: enumeration supports m <= {MAX_ENUM_FIBERS}, got {spec.m}"
+            f"instance too large: enumeration supports m <= {MAX_ENUM_FIBERS}, got {m}"
         )
 
 
@@ -47,7 +60,8 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
 
     Exactly one representative per simultaneous-conjugacy class of marked
     tuples with cycle_type(sigma_i) = mu_i, identity product, and component
-    signature equal to the spec's {(d_l, g_l)}.  May be empty.
+    signature equal to the spec's {(d_l, g_l)}.  May be empty.  sigma_1 is
+    fixed and sigma_2 runs over Z(sigma_1)-orbit representatives only.
     """
     _check_guards(spec)
     d = spec.d
@@ -57,7 +71,9 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
 
     sheets: list[MarkedTuple] = []
     seen_unmarked: set[tuple] = set()
-    for prefix in itertools.product(classes[0][:1], *classes[1:-1]):
+    first = classes[0][0]
+    seconds = _orbit_representatives(classes[1], centralizer(first))
+    for prefix in itertools.product((first,), seconds, *classes[2:-1]):
         last = inverse(compose_all(prefix))
         if cycle_type(last) != last_mu:
             continue
@@ -71,6 +87,17 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
         sheets.extend(_sheets_of_unmarked_class(canonical, spec))
     sheets.sort(key=tuple_key)
     return tuple(sheets)
+
+
+def _orbit_representatives(cls, group) -> list:
+    """The first member, in ``cls`` order, of each ``group``-conjugation orbit
+    of ``cls``; costs sum(|Stab(p)|) over ``cls``."""
+    reps, seen = [], set()
+    for p in cls:
+        if p not in seen:
+            reps.append(p)
+            seen.update(conjugate(z, p) for z in group)
+    return reps
 
 
 def _sheets_of_unmarked_class(perms, spec: HurwitzSpec) -> list[MarkedTuple]:

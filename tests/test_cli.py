@@ -273,6 +273,16 @@ def test_guard_exit_code():
     assert "instance too large" in proc.stderr
 
 
+def test_huge_profile_repetition_refused_before_expansion():
+    # the fibers are counted before ``^k`` is expanded, so this fails fast
+    args = ("sheets", "--degrees", "2", "--genera", "0", "--profiles", "2^1000000000")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hurmono", *args], capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 3
+    assert "m <= 6" in proc.stderr
+
+
 def test_no_arguments_is_usage_error():
     proc = run_cli()
     assert proc.returncode == 2

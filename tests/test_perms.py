@@ -12,6 +12,7 @@ from hurmono.perms import (
     MAX_DEGREE,
     DegreeError,
     all_perms,
+    centralizer,
     compose,
     compose_all,
     conjugacy_class,
@@ -179,6 +180,15 @@ def test_conjugacy_class_sizes(d):
         assert len(set(cls)) == len(cls)
         total += len(cls)
     assert total == math.factorial(d)
+
+
+@given(st.integers(1, 6).flatmap(perms_of_degree))
+def test_centralizer_order(p):
+    # |Z(p)| = prod over cycle lengths l of l^{m_l} * m_l!
+    cent = centralizer(p)
+    assert len(cent) == _zmu(cycle_type(p))
+    assert list(cent) == sorted(cent)
+    assert all(compose(w, p) == compose(p, w) for w in cent)
 
 
 def test_all_perms():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracle import all_partitions, oracle_sheets
 
 from hurmono import (
@@ -14,7 +16,8 @@ from hurmono import (
     tuple_key,
     validate_marked_tuple,
 )
-from hurmono.perms import MAX_DEGREE
+from hurmono.perms import MAX_DEGREE, centralizer, conjugacy_class, conjugate
+from hurmono.sheets import _orbit_representatives
 
 
 def spec_for(signature, profiles):
@@ -72,6 +75,42 @@ def test_oracle_equivalence_degree4_sample(profiles):
     assert_matches_oracle(4, profiles)
 
 
+@pytest.mark.parametrize(
+    "profiles",
+    [
+        ((2, 1), (2, 1), (3,)),
+        ((2, 2),) * 3,
+        ((2, 1),) * 4 + ((1, 1, 1),),
+        ((3,), (3,), (2, 1), (2, 1), (1, 1, 1)),
+        ((2, 1),) * 6,
+        # sigma_1 = e: the centralizer is all of S_3
+        ((1, 1, 1), (2, 1), (2, 1), (3,)),
+    ],
+)
+def test_oracle_equivalence_other_fiber_counts(profiles):
+    assert_matches_oracle(sum(profiles[0]), profiles)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.tuples(
+            st.permutations(list(range(d))).map(tuple), st.sampled_from(all_partitions(d))
+        )
+    )
+)
+def test_orbit_representatives_are_a_transversal(p_mu):
+    p, mu = p_mu
+    group = centralizer(p)
+    cls = conjugacy_class(mu, len(p))
+    reps = _orbit_representatives(cls, group)
+    orbits = [{conjugate(z, r) for z in group} for r in reps]
+    assert all(r == min(orbit) for r, orbit in zip(reps, orbits))
+    assert all(a.isdisjoint(b) for a, b in itertools.combinations(orbits, 2))
+    # orbit-stabilizer: |orbit of r| = |Z(p)| / |Z(p) ∩ Z(r)|, and the orbits cover cls
+    stabilizers = [sum(1 for z in group if conjugate(z, r) == r) for r in reps]
+    assert sum(len(group) // k for k in stabilizers) == len(cls)
+
+
 def test_sheets_are_canonical_sorted_and_valid():
     spec = make_spec("3", "0", "2,1^4")
     sheets = enumerate_sheets(spec)
@@ -108,6 +147,7 @@ def test_known_counts():
     assert count_sheets(make_spec("2,1", "0,0", "2,1;2,1;1,1,1;1,1,1")) == 18
     assert count_sheets(make_spec("4", "3", "4^4")) == 8
     assert count_sheets(make_spec("4", "1", "2,2^4")) == 12
+    assert count_sheets(make_spec("6", "3", "3,3^4")) == 264
 
 
 def test_degree_guard():
@@ -120,3 +160,6 @@ def test_degree_guard():
 def test_fiber_guard():
     with pytest.raises(TooLargeError, match="instance too large"):
         enumerate_sheets(make_spec("2", "0", ";".join(["2"] * 7)))
+    # a spec built directly, not parsed, meets the same guard in enumerate_sheets
+    with pytest.raises(TooLargeError, match="m <= 6, got 8"):
+        enumerate_sheets(HurwitzSpec(degrees=(2,), genera=(3,), profiles=((2,),) * 8))
