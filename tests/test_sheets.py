@@ -11,6 +11,7 @@ from hurmono import (
     canonicalize,
     component_signature,
     count_sheets,
+    default_rows,
     enumerate_sheets,
     make_spec,
     tuple_key,
@@ -28,12 +29,20 @@ def spec_for(signature, profiles):
     )
 
 
+def assert_in_canonical_order(sheets):
+    """Strictly ascending tuple_key: sorted, and no sheet twice."""
+    keys = [tuple_key(t) for t in sheets]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def assert_matches_oracle(d, profiles):
-    """Package output must equal the oracle's canonical sets, per source shape."""
+    """Package output must equal the oracle's canonical sets, per source shape,
+    and come in canonical order."""
     by_signature = oracle_sheets(d, profiles)
     for signature, expected in by_signature.items():
         got = enumerate_sheets(spec_for(signature, profiles))
         assert {(t.perms, t.labels) for t in got} == expected
+        assert_in_canonical_order(got)
     # signatures the oracle never realized must enumerate empty; check the
     # all-genus-zero one when the oracle skipped it
     trivial = tuple(sorted((1, 0) for _ in range(d)))
@@ -121,6 +130,12 @@ def test_sheets_are_canonical_sorted_and_valid():
         validate_marked_tuple(t, spec)
         assert canonicalize(t) == t
         assert component_signature(t) == spec.signature
+
+
+def test_golden_sheets_in_canonical_order():
+    # The sweep emits the sheets in canonical order; nothing sorts them after.
+    for row in default_rows():
+        assert_in_canonical_order(enumerate_sheets(row.spec))
 
 
 def test_empty_by_parity():
