@@ -32,16 +32,14 @@ from .golden import (
     verify_all,
 )
 from .marked import (
-    BOUNDARY_LABELS,
     HurwitzSpec,
     SpecError,
-    TooLargeError,
     marked_fiber_str,
     marked_tuple_json,
     marked_tuple_str,
 )
-from .moves import ComponentReport, build_sheet_graph, components
-from .perms import partition_str, perm_str
+from .moves import BOUNDARY_LABELS, ComponentReport, build_sheet_graph, components
+from .perms import TooLargeError, partition_str, perm_str
 from .sheets import enumerate_sheets
 
 SCHEMA_VERSION = 1
@@ -319,10 +317,7 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SpecError, GoldenParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SpecError, GoldenParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,8 +25,8 @@ from functools import lru_cache
 
 from .perms import (
     Partition,
-    MAX_DEGREE,
     Perm,
+    TooLargeError,  # re-exported: callers also import it from hurmono.marked
     all_perms,
     compose_all,
     conjugate,
@@ -38,15 +38,8 @@ from .perms import (
     orbits,
 )
 
-BOUNDARY_LABELS = ("zero", "one", "infty")
-
-
 class SpecError(ValueError):
     """A malformed Hurwitz space description."""
-
-
-class TooLargeError(ValueError):
-    """Instance exceeds the enumeration/canonicalization guards."""
 
 
 class InvariantViolation(RuntimeError):
@@ -237,10 +230,9 @@ def canonicalize(t: MarkedTuple) -> MarkedTuple:
     """Minimum of {transport_marking(w, t) : w in S_d} under tuple_key.
 
     Exhaustive over all d! conjugators (two-stage: images first, then
-    markings over the achievers).  Raises TooLargeError for d > MAX_DEGREE.
+    markings over the achievers).  The scan starts in ``all_perms``, so
+    d > MAX_DEGREE raises TooLargeError there.
     """
-    if t.degree > MAX_DEGREE:
-        raise TooLargeError(f"instance too large: canonical forms need d <= {MAX_DEGREE}")
     cu, achievers = _unmarked_minimum(t.perms)
     labels = min(
         (transport_labels(w, t.labels) for w in achievers),

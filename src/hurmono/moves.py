@@ -38,7 +38,6 @@ from itertools import chain
 from operator import itemgetter
 
 from .marked import (
-    BOUNDARY_LABELS,
     HurwitzSpec,
     InvariantViolation,
     LabelVector,
@@ -79,8 +78,10 @@ def half_twist(
 
 
 # At boundary point b, fiber COLLIDING[b] collides with fiber 4.  WORDS[b] is the
-# move A_{i4} applied left to right: k stands for b_k, -k for b_k^-1.
+# move A_{i4} applied left to right: k stands for b_k, -k for b_k^-1.  The keys,
+# in this order, are the boundary labels of every move, report and writer.
 COLLIDING = {"zero": 1, "one": 2, "infty": 3}
+BOUNDARY_LABELS = tuple(COLLIDING)
 WORDS = {b: (*range(3, i, -1), i, i, *range(-i - 1, -4, -1)) for b, i in COLLIDING.items()}
 
 

@@ -22,9 +22,10 @@ minimum and the starts ascend.  Cycles are then ordered by length descending
 with ties by minimum ascending, so ``cycle_type`` is their lengths as listed;
 orbits are sorted inside and listed by minimum.
 
-MAX_DEGREE = 9 is the package's one degree guard: ``check_degree`` rejects
-larger degrees with DegreeError, and the enumeration and canonical forms,
-which scan all d! conjugators, raise TooLargeError above it.
+MAX_DEGREE = 9 is the package's one degree guard, and ``check_degree`` is its
+one comparison: it raises TooLargeError above the bound and DegreeError below
+1.  Every scan over S_d (conjugacy classes, centralizers, the canonical forms
+of ``hurmono.marked``) starts in ``all_perms``, so each meets that guard.
 """
 
 from __future__ import annotations
@@ -41,11 +42,17 @@ MAX_DEGREE = 9
 
 
 class DegreeError(ValueError):
-    """Raised for degree mismatches or out-of-range degrees."""
+    """Raised for degree mismatches or degrees below 1."""
+
+
+class TooLargeError(ValueError):
+    """Instance exceeds the package's size guards (MAX_DEGREE, fiber count)."""
 
 
 def check_degree(d: int) -> int:
-    if not 1 <= d <= MAX_DEGREE:
+    if d > MAX_DEGREE:
+        raise TooLargeError(f"instance too large: degree must be at most {MAX_DEGREE}, got {d}")
+    if d < 1:
         raise DegreeError(f"degree must be in 1..{MAX_DEGREE}, got {d}")
     return d
 
@@ -260,7 +267,6 @@ def parse_perm(text: str, d: int) -> Perm:
 
     Whitespace is flexible; points are 1-indexed and must lie in 1..d.
     """
-    check_degree(d)
     if not _PERM_RE.fullmatch(text):
         raise ValueError(f"malformed cycle notation: {text!r}")
     cycles = []

@@ -27,7 +27,6 @@ from operator import itemgetter
 from .marked import (
     HurwitzSpec,
     MarkedTuple,
-    TooLargeError,
     _unmarked_minimum,
     enumerate_markings,
     signature_of_perms,
@@ -35,7 +34,7 @@ from .marked import (
     tuple_key,
 )
 from .perms import (
-    MAX_DEGREE,
+    TooLargeError,
     centralizer,
     compose_all,
     conjugacy_class,
@@ -45,14 +44,6 @@ from .perms import (
 )
 
 MAX_ENUM_FIBERS = 6
-
-
-def _check_guards(spec: HurwitzSpec) -> None:
-    if spec.d > MAX_DEGREE:
-        raise TooLargeError(
-            f"instance too large: enumeration supports d <= {MAX_DEGREE}, got {spec.d}"
-        )
-    check_fiber_count(spec.m)
 
 
 def check_fiber_count(m: int) -> None:
@@ -69,8 +60,10 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
     tuples with cycle_type(sigma_i) = mu_i, identity product, and component
     signature equal to the spec's {(d_l, g_l)}.  May be empty.  sigma_1 is
     fixed and sigma_2 runs over Z(sigma_1)-orbit representatives only.
+    Raises TooLargeError for m > MAX_ENUM_FIBERS, then, from the class
+    scans, for d > MAX_DEGREE.
     """
-    _check_guards(spec)
+    check_fiber_count(spec.m)
     d = spec.d
     want = spec.signature
     classes = [conjugacy_class(mu, d) for mu in spec.profiles]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from hurmono import marked, moves
-from hurmono.marked import BOUNDARY_LABELS
+from hurmono.moves import BOUNDARY_LABELS
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 

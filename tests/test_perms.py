@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import hurmono.marked
 import hurmono.perms
+from hurmono import enumerate_sheets, make_spec
 from hurmono.perms import (
     MAX_DEGREE,
     DegreeError,
+    TooLargeError,
     all_perms,
     centralizer,
     compose,
@@ -194,8 +196,8 @@ def test_centralizer_order(p):
 def test_all_perms():
     assert len(all_perms(3)) == 6
     assert list(all_perms(3)) == sorted(all_perms(3))
-    with pytest.raises(DegreeError):
-        all_perms(10)
+    with pytest.raises(TooLargeError):
+        all_perms(MAX_DEGREE + 1)
 
 
 @given(perm_st)
@@ -226,7 +228,39 @@ def test_parse_partition():
 def test_degree_guards():
     with pytest.raises(DegreeError):
         identity(0)
-    with pytest.raises(DegreeError):
+    with pytest.raises(TooLargeError):
         identity(MAX_DEGREE + 1)
     with pytest.raises(DegreeError):
         compose((0, 1), (0,))
+
+
+# Every S_d scan meets the one guard in check_degree, so each entry point
+# refuses MAX_DEGREE + 1 with the same TooLargeError and the same text.
+BIG = MAX_DEGREE + 1
+TOO_LARGE = f"instance too large: degree must be at most {MAX_DEGREE}, got {BIG}"
+ONES = ",".join(["1"] * BIG)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: identity(BIG),
+        lambda: all_perms(BIG),
+        lambda: conjugacy_class((1,) * BIG, BIG),
+        lambda: centralizer(tuple(range(BIG))),
+        lambda: hurmono.marked.canonicalize(
+            hurmono.marked.MarkedTuple(
+                perms=(tuple(range(BIG)),) * 4, labels=(tuple(range(1, BIG + 1)),) * 4
+            )
+        ),
+        lambda: enumerate_sheets(make_spec(str(BIG), "0", f"{ONES}^4")),
+    ],
+    ids=[
+        "identity", "all_perms", "conjugacy_class", "centralizer", "canonicalize",
+        "enumerate_sheets",
+    ],
+)
+def test_one_degree_guard(call):
+    with pytest.raises(TooLargeError) as info:
+        call()
+    assert str(info.value) == TOO_LARGE

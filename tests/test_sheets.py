@@ -178,3 +178,7 @@ def test_fiber_guard():
     # a spec built directly, not parsed, meets the same guard in enumerate_sheets
     with pytest.raises(TooLargeError, match="m <= 6, got 8"):
         enumerate_sheets(HurwitzSpec(degrees=(2,), genera=(3,), profiles=((2,),) * 8))
+    # the fiber count is checked before the degree
+    big = (1,) * (MAX_DEGREE + 1)
+    with pytest.raises(TooLargeError, match="m <= 6, got 7"):
+        enumerate_sheets(HurwitzSpec(degrees=(MAX_DEGREE + 1,), genera=(0,), profiles=(big,) * 7))
