@@ -10,9 +10,10 @@ exponent sugar ``2,1^4`` for four copies of the partition (2,1).  An expect
 degree of ``?`` records a value that is reported but not asserted; such
 entries are matched on (count, genus) only.
 
-Verification recomputes every row through the full pipeline (sheet
-enumeration, the three moves, component extraction) and compares the multiset
-of (component count, genus, target-map degree) triples exactly.
+Verification recomputes every row from its unmarked classes
+(moves.lifted_components: the prefix scan, the three moves once per class,
+and the marking-group lift) without listing a marked sheet, and compares the
+multiset of (component count, genus, target-map degree) triples exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .marked import HurwitzSpec, SpecError
-from .moves import build_sheet_graph, component_multiset, components
+# build_sheet_graph and components are not called here: the benchmark's tracer
+# wraps these names until ROADMAP item 1.
+from .moves import build_sheet_graph, component_multiset, components, lifted_components
 from .perms import parse_partition, partition_str
 from .sheets import check_fiber_count
 
@@ -232,18 +235,15 @@ def verify_row(row: GoldenRow) -> RowVerdict:
     Besides the multiset comparison, a fully-asserted row must satisfy the
     bookkeeping identity sum(count * degree) == number of sheets.
     """
-    graph = build_sheet_graph(row.spec)
-    computed = component_multiset(components(graph))
+    lifted = lifted_components(row.spec)
+    computed = component_multiset(lifted)
+    # sum over unmarked classes U of |G|/|H_U|: each U contributes
+    # |Gamma_C|/|H_U| sheets to each of the |G|/|Gamma_C| components over C
+    sheet_count = sum(c.copies * c.degree for c in lifted)
     passed = _matches(row.expected, computed)
     if passed and row.asserted:
-        expected_sheets = sum(c * deg for c, _, deg in row.expected)
-        passed = expected_sheets == len(graph.sheets)
-    return RowVerdict(
-        row=row,
-        computed=computed,
-        sheet_count=len(graph.sheets),
-        passed=passed,
-    )
+        passed = sum(c * deg for c, _, deg in row.expected) == sheet_count
+    return RowVerdict(row=row, computed=computed, sheet_count=sheet_count, passed=passed)
 
 
 def verify_all(rows=None, degree: int | None = None) -> VerifySummary:

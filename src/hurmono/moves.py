@@ -27,6 +27,11 @@ both.  The three permutations generate the monodromy group of the target
 map, whose orbits are the connected components of the space.  Per
 component, Riemann-Hurwitz over the genus-0 moduli of 4-marked targets gives
 the component genus from the three ramification partitions.
+
+lifted_components gets the same component data from the unmarked classes
+alone: the marked sheet graph is the derived graph of a permutation voltage
+assignment in the marking group on the graph of classes (Gross & Tucker,
+Discrete Math. 18, 1977), so no marked sheet is listed.
 """
 
 from __future__ import annotations
@@ -56,10 +61,17 @@ from .perms import (
     conjugate,
     cycle_decomposition,
     cycle_type,
+    group_order,
     inverse,
     orbits,
 )
-from .sheets import enumerate_sheets, orbit_maps
+from .sheets import (
+    enumerate_sheets,
+    label_stabilizer,
+    marking_group_order,
+    orbit_maps,
+    unmarked_classes,
+)
 
 
 def half_twist(
@@ -140,14 +152,41 @@ class ComponentReport:
     nodes: Mapping[str, tuple[Partition, ...]]
 
 
+def _class_moves(spec: HurwitzSpec, classes) -> dict[str, list[MarkedTuple]]:
+    """Per boundary, the canonical image under its move of each unmarked class
+    U in ``classes``, labelled by positions: ``positions[i][x] = i*d + x``.
+
+    The image lies over a class U', and its labels name, per point, the
+    position in the flat label key of a marking of U that the image reads.
+    Raises InvariantViolation when U' is not in ``classes``.
+    """
+    d = spec.d
+    positions = tuple(tuple(range(i * d, (i + 1) * d)) for i in range(spec.m))
+    out = {}
+    for boundary, mover in MOVES.items():
+        out[boundary] = [
+            canonicalize(mover(MarkedTuple(perms=u, labels=positions))) for u in classes
+        ]
+        if any(t.perms not in classes for t in out[boundary]):
+            raise InvariantViolation(f"move around {boundary} left the sheet set of {spec}")
+    return out
+
+
+def _check_full_twist(length: int, profile: Partition, boundary: str, spec: HurwitzSpec) -> None:
+    # the move around b conjugates the colliding pair by the node product at b
+    if math.lcm(*profile) % length:
+        raise InvariantViolation(
+            f"a cycle of length {length} of the move around {boundary} does not "
+            f"divide the order of its node product {profile} on {spec}"
+        )
+
+
 def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
     """Enumerate the sheets and the action of the three moves on them.
 
-    Each move runs once per unmarked class U, on U labelled by positions:
-    ``positions[i][x] = i*d + x``.  Its canonical form lies over the class U'
-    and its labels name, per point, the position in a sheet's flat label key
-    that the image reads, so one gather and one lookup in the table of
-    marking-orbit keys of U' give each sheet's image.
+    Each move runs once per unmarked class U (_class_moves), so one gather
+    and one lookup in the table of marking-orbit keys of U' give each
+    sheet's image.
 
     Raises InvariantViolation unless each move permutes the sheets and the
     moves around zero, then one, then infty compose to the identity (the
@@ -169,16 +208,13 @@ def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
             table[keys[k]] = k
             for g in getters:
                 table[g(keys[k])] = k
-    d = spec.d
-    positions = tuple(tuple(range(i * d, (i + 1) * d)) for i in range(spec.m))
     maps = {}
-    for boundary, mover in MOVES.items():
+    for boundary, moved in _class_moves(spec, classes).items():
         images = [0] * len(sheets)
-        for perms, members in classes.items():
-            moved = canonicalize(mover(MarkedTuple(perms=perms, labels=positions)))
-            get = itemgetter(*chain.from_iterable(moved.labels))
+        for t, members in zip(moved, classes.values()):
+            get = itemgetter(*chain.from_iterable(t.labels))
             try:
-                table = tables[moved.perms]
+                table = tables[t.perms]
                 for k in members:
                     images[k] = table[get(keys[k])]
             except KeyError:
@@ -218,9 +254,9 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     for k, orbit in enumerate(comps):
         for x in orbit:
             comp_of[x] = k
-    # The node product depends on the permutations only: one profile, with its
-    # lcm, per (unmarked class, boundary).
-    profiles: dict[tuple, tuple[Partition, int]] = {}
+    # The node product depends on the permutations only: one profile per
+    # (unmarked class, boundary).
+    profiles: dict[tuple, Partition] = {}
     # cycles[b][k]: (length, node profile) per cycle of s[b] inside component
     # k, in canonical order
     cycles = {b: [[] for _ in comps] for b in BOUNDARY_LABELS}
@@ -228,14 +264,9 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
         for c in cycle_decomposition(graph.s[b]):
             t = graph.sheets[c[0]]
             if (t.perms, b) not in profiles:
-                profile = cycle_type(node_product(t, b))
-                profiles[t.perms, b] = profile, math.lcm(*profile)
-            profile, order = profiles[t.perms, b]
-            if order % len(c):
-                raise InvariantViolation(
-                    f"a cycle of length {len(c)} of the move around {b} does not "
-                    f"divide the order of its node product {profile} on {graph.spec}"
-                )
+                profiles[t.perms, b] = cycle_type(node_product(t, b))
+            profile = profiles[t.perms, b]
+            _check_full_twist(len(c), profile, b, graph.spec)
             cycles[b][comp_of[c[0]]].append((len(c), profile))
     reports = []
     for k, orbit in enumerate(comps):
@@ -261,9 +292,137 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     return tuple(reports)
 
 
+@dataclass(frozen=True)
+class LiftedComponent:
+    """The ``copies`` marked components over one unmarked component, whose
+    canonical classes are ``classes``: G-translates of one another, each with
+    this degree, genus, ram and nodes (keyed by BOUNDARY_LABELS)."""
+
+    classes: tuple[tuple[Perm, ...], ...]
+    copies: int
+    degree: int
+    genus: int
+    ram: Mapping[str, Partition]
+    nodes: Mapping[str, tuple[Partition, ...]]
+
+
+def check_unmarked_image(degree: int, genus: int, base_degree: int, base_genus: int) -> None:
+    """Raise InvariantViolation unless a marked component of ``degree`` and
+    ``genus`` can cover an unmarked one of ``base_degree`` and ``base_genus``:
+    a finite map of curves pulls H^1 back injectively, so the genus does not
+    drop, and the degrees over the target moduli multiply."""
+    if genus < base_genus or degree % base_degree:
+        raise InvariantViolation(
+            f"a marked component of degree {degree} and genus {genus} cannot cover "
+            f"its unmarked image of degree {base_degree} and genus {base_genus}"
+        )
+
+
+def lifted_components(spec: HurwitzSpec) -> tuple[LiftedComponent, ...]:
+    """The components of components(build_sheet_graph(spec)), from the
+    unmarked classes alone, grouped by the unmarked component they cover.
+
+    The sheets over a class U are the cosets G/H_U (sheets.label_stabilizer,
+    base marking b_U).  Each move runs once per class U, as in
+    build_sheet_graph, and sends (U, g H_U) to (U', g k H_U') for one voltage
+    k in G, so the marked sheet graph is the derived graph of a permutation
+    voltage assignment on the class graph.  Per unmarked component C, with
+    t_U from a spanning tree, Gamma_C = <t_U H_U t_U^-1, t_U k t_U'^-1> and C
+    carries |G|/|Gamma_C| marked components of degree sum_U |Gamma_C|/|H_U|.
+    A cycle of a class move of length l through U, with holonomy q, lifts to
+    |Gamma_C|/(|H_U| r) cycles of length l r per marked component, r >= 1
+    least with q^r in H_U.
+
+    Raises InvariantViolation where build_sheet_graph and components do,
+    restated on the classes (zero, then one, then infty must return U with a
+    voltage in H_U), and where check_unmarked_image does.
+    """
+    if spec.m != 4:
+        raise SpecError("monodromy requires exactly 4 marked fibers")
+    classes = unmarked_classes(spec)
+    if not classes:
+        return ()
+    index = {u: k for k, u in enumerate(classes)}
+    bases, stabs = zip(*map(label_stabilizer, classes))
+    e = tuple(range(sum(map(len, spec.profiles))))  # on the label points
+    # target[b][u] = v and voltage[b][u] = k: the move around b sends the base
+    # marking of class u to the marking k.b_v of class v
+    target, voltage = {}, {}
+    for b, moved in _class_moves(spec, index).items():
+        target[b], voltage[b] = [index[t.perms] for t in moved], []
+        for u, t in enumerate(moved):
+            k = list(e)
+            for point, p in zip(bases[target[b][u]], chain.from_iterable(t.labels)):
+                k[point] = bases[u][p]
+            voltage[b].append(tuple(k))
+        if sorted(target[b]) != list(range(len(classes))):
+            raise InvariantViolation(f"move around {b} is not a bijection of sheets")
+    for u in range(len(classes)):
+        v, k = u, e
+        for b in BOUNDARY_LABELS:
+            v, k = target[b][v], compose(k, voltage[b][v])
+        if v != u or k not in stabs[u]:
+            raise InvariantViolation(
+                f"moves around zero, then one, then infty do not compose to e on {spec}"
+            )
+    comps = orbits(list(target.values()), len(classes))
+    comp_of = {u: c for c, comp in enumerate(comps) for u in comp}
+    cycles = [[] for _ in comps]  # (boundary, cycle of its class move) per component
+    for b in BOUNDARY_LABELS:
+        for cycle in cycle_decomposition(tuple(target[b])):
+            cycles[comp_of[cycle[0]]].append((b, cycle))
+    order = marking_group_order(spec)
+    out = []
+    for comp, comp_cycles in zip(comps, cycles):
+        t, todo = {comp[0]: e}, [comp[0]]  # t_U along a breadth-first spanning tree
+        for u in todo:
+            for b in BOUNDARY_LABELS:
+                if target[b][u] not in t:
+                    t[target[b][u]] = compose(t[u], voltage[b][u])
+                    todo.append(target[b][u])
+        gens = {conjugate(t[u], h) for u in comp for h in stabs[u]}
+        gens.update(
+            compose_all((t[u], voltage[b][u], inverse(t[target[b][u]])))
+            for b in BOUNDARY_LABELS
+            for u in comp
+        )
+        gamma = group_order(gens, len(e))
+        ram = {b: [] for b in BOUNDARY_LABELS}
+        nodes = {b: [] for b in BOUNDARY_LABELS}
+        for b, cycle in comp_cycles:
+            u, q = cycle[0], compose_all([voltage[b][w] for w in cycle])
+            power, r = q, 1
+            while power not in stabs[u]:
+                power, r = compose(power, q), r + 1
+            profile = cycle_type(node_product(MarkedTuple(perms=classes[u], labels=()), b))
+            _check_full_twist(len(cycle) * r, profile, b, spec)
+            lifts = gamma // (len(stabs[u]) * r)
+            ram[b] += [len(cycle) * r] * lifts
+            nodes[b] += [profile] * lifts
+        degree = sum(gamma // len(stabs[u]) for u in comp)
+        total_ram = sum(length - 1 for b in BOUNDARY_LABELS for length in ram[b])
+        genus = riemann_hurwitz_genus(degree, total_ram, "component")
+        base_ram = sum(len(cycle) - 1 for _, cycle in comp_cycles)
+        base_genus = riemann_hurwitz_genus(len(comp), base_ram, "unmarked component")
+        check_unmarked_image(degree, genus, len(comp), base_genus)
+        out.append(
+            LiftedComponent(
+                classes=tuple(classes[u] for u in comp),
+                copies=order // gamma,
+                degree=degree,
+                genus=genus,
+                ram={b: tuple(sorted(ram[b], reverse=True)) for b in BOUNDARY_LABELS},
+                nodes={b: tuple(sorted(nodes[b], reverse=True)) for b in BOUNDARY_LABELS},
+            )
+        )
+    return tuple(out)
+
+
 def component_multiset(reports) -> tuple[tuple[int, int, int], ...]:
-    """Aggregate components to sorted (count, genus, degree) triples."""
+    """Aggregate components to sorted (count, genus, degree) triples; a
+    LiftedComponent counts as its ``copies``."""
     counts: dict[tuple[int, int], int] = {}
     for r in reports:
-        counts[(r.genus, r.degree)] = counts.get((r.genus, r.degree), 0) + 1
+        key = (r.genus, r.degree)
+        counts[key] = counts.get(key, 0) + getattr(r, "copies", 1)
     return tuple(sorted((c, g, deg) for (g, deg), c in counts.items()))

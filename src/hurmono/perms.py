@@ -229,6 +229,47 @@ def conjugacy_class(mu: Partition, d: int) -> tuple[Perm, ...]:
     return tuple(p for p in all_perms(d) if cycle_type(p) == mu)
 
 
+def group_order(gens, n: int) -> int:
+    """Order of the group that ``gens`` generate on {0..n-1}.
+
+    Deterministic Schreier-Sims: the Sims filter keeps at most one generator
+    per (first moved point i, image of i), the order is the orbit length of
+    the first moved point times the order of its stabilizer, and Schreier's
+    lemma generates that stabilizer from the orbit's transversal.
+
+    >>> group_order([parse_perm("(1 2 3 4)", 4), parse_perm("(1 2)", 4)], 4)
+    24
+    """
+    order = 1
+    while True:
+        table: dict[tuple[int, int], Perm] = {}
+        for g in gens:
+            while (i := next((x for x in range(n) if g[x] != x), None)) is not None:
+                h = table.get((i, g[i]))
+                if h is None:
+                    table[i, g[i]] = g
+                    break
+                g = compose(inverse(h), g)
+        if not table:
+            return order
+        gens = list(table.values())
+        base = min(table)[0]
+        transversal = {base: tuple(range(n))}
+        todo = [base]
+        for x in todo:
+            for s in gens:
+                y = s[x]
+                if y not in transversal:
+                    transversal[y] = compose(s, transversal[x])
+                    todo.append(y)
+        order *= len(transversal)
+        gens = [
+            compose(inverse(transversal[s[x]]), compose(s, u))
+            for x, u in transversal.items()
+            for s in gens
+        ]
+
+
 def is_partition(parts) -> bool:
     """True if ``parts`` is a weakly decreasing tuple of positive integers."""
     return (

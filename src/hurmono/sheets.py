@@ -17,11 +17,18 @@ The sweep order is the canonical order, and nothing sorts the sheets: the
 unmarked classes are swept in ascending order, tuple_key compares the
 permutations first, and within one class the marking product runs in
 ascending markings_key order.  The sheets of one class are contiguous.
+
+unmarked_classes is the scan alone.  The marking group G (per fiber, the
+relabelings of equal-length cycles) acts freely and transitively on the
+markings of a class U, so the sheets over U are the cosets G/H_U, H_U the
+image of Aut(U) in G (label_stabilizer), and count_sheets sums |G|/|H_U|
+without the sweep.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from operator import itemgetter
 
 from .marked import (
@@ -34,11 +41,13 @@ from .marked import (
     tuple_key,
 )
 from .perms import (
+    Perm,
     TooLargeError,
     centralizer,
     compose_all,
     conjugacy_class,
     conjugate,
+    cycle_decomposition,
     cycle_type,
     inverse,
 )
@@ -53,15 +62,14 @@ def check_fiber_count(m: int) -> None:
         )
 
 
-def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
-    """All sheets of the space over the open target moduli, in canonical order.
+def unmarked_classes(spec: HurwitzSpec) -> tuple[tuple[Perm, ...], ...]:
+    """The canonical permutation tuples U of the space's sheets, ascending.
 
-    Exactly one representative per simultaneous-conjugacy class of marked
-    tuples with cycle_type(sigma_i) = mu_i, identity product, and component
-    signature equal to the spec's {(d_l, g_l)}.  May be empty.  sigma_1 is
-    fixed and sigma_2 runs over Z(sigma_1)-orbit representatives only.
-    Raises TooLargeError for m > MAX_ENUM_FIBERS, then, from the class
-    scans, for d > MAX_DEGREE.
+    One per simultaneous-conjugacy class of tuples with cycle_type(sigma_i) =
+    mu_i, identity product, and component signature equal to the spec's
+    {(d_l, g_l)}.  May be empty.  sigma_1 is fixed and sigma_2 runs over
+    Z(sigma_1)-orbit representatives only.  Raises TooLargeError for
+    m > MAX_ENUM_FIBERS, then, from the class scans, for d > MAX_DEGREE.
     """
     check_fiber_count(spec.m)
     d = spec.d
@@ -80,9 +88,19 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
         if signature_of_perms(perms, d) != want:
             continue
         seen_unmarked.add(_unmarked_minimum(perms)[0])
+    return tuple(sorted(seen_unmarked))
+
+
+def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
+    """All sheets of the space over the open target moduli, in canonical order:
+    the markings of each of unmarked_classes(spec), class by class.
+
+    Exactly one representative per simultaneous-conjugacy class of marked
+    tuples; raises as unmarked_classes does.
+    """
     return tuple(
         itertools.chain.from_iterable(
-            _sheets_of_unmarked_class(perms, spec) for perms in sorted(seen_unmarked)
+            _sheets_of_unmarked_class(perms, spec) for perms in unmarked_classes(spec)
         )
     )
 
@@ -135,6 +153,45 @@ def _sheets_of_unmarked_class(perms, spec: HurwitzSpec) -> list[MarkedTuple]:
     return out
 
 
+def marking_group_order(spec: HurwitzSpec) -> int:
+    """|G| for G = prod_i prod_l S_{m_l(mu_i)}, the relabelings of the cycles of
+    equal length l within each fiber i; G acts freely and transitively on the
+    markings of every unmarked class."""
+    return math.prod(
+        math.factorial(len(list(run))) for mu in spec.profiles for _, run in itertools.groupby(mu)
+    )
+
+
+def label_stabilizer(perms) -> tuple[tuple[int, ...], frozenset[Perm]]:
+    """The base marking of the canonical ``perms`` and H_U, the image of
+    Aut(perms) in G.
+
+    G acts on label points: label j of fiber i is the point n_1 + ... +
+    n_{i-1} + j - 1, where n_i counts the cycles of sigma_i.  The base marking
+    is the first vector of enumerate_markings on every fiber, so the j-th
+    cycle of sigma_i in canonical order carries label j; it is returned as its
+    label point per flat position i*d + x.  z in Aut(perms) transports it to
+    the marking h.base for one h in G, and H_U collects those h.
+    """
+    d = len(perms[0])
+    base = [0] * (len(perms) * d)
+    offset = 0
+    for i, p in enumerate(perms):
+        for cyc in cycle_decomposition(p):
+            for x in cyc:
+                base[i * d + x] = offset
+            offset += 1
+    images = {tuple(range(offset))}
+    for g in orbit_maps(perms):
+        h = [0] * offset
+        for point, image in zip(base, g(base)):
+            h[point] = image
+        images.add(tuple(h))
+    return tuple(base), frozenset(images)
+
+
 def count_sheets(spec: HurwitzSpec) -> int:
-    """Number of sheets of the space; 0 for empty spaces."""
-    return len(enumerate_sheets(spec))
+    """Number of sheets of the space, sum over unmarked classes U of
+    |G|/|H_U| (the markings of U modulo Aut(U)); 0 for empty spaces."""
+    order = marking_group_order(spec)
+    return sum(order // len(label_stabilizer(u)[1]) for u in unmarked_classes(spec))

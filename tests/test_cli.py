@@ -183,6 +183,22 @@ def test_verify_full_reports_known_misses():
     )
 
 
+@pytest.mark.parametrize(
+    "fmt, sha256",
+    [
+        ("json", "4fc1d68c0814ed98e6203d401de03b30262a57b069c45cc58aebb435e1bf1229"),
+        ("csv", "08545040fae35ac5b4226fb5c97562d8a2dda427e1060f14a8c2f89ab745ffc0"),
+    ],
+    ids=["json", "csv"],
+)
+def test_verify_full_pinned_formats(fmt, sha256):
+    # recorded while verify still listed every marked sheet: the lift from the
+    # unmarked classes must print the same bytes
+    proc = run_cli("verify", "--format", fmt)
+    assert proc.returncode == 1
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == sha256
+
+
 def test_verify_goldens_override(tmp_path):
     path = tmp_path / "mini.txt"
     path.write_text(

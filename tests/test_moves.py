@@ -1,3 +1,5 @@
+import collections
+import functools
 import random
 
 import pytest
@@ -26,7 +28,8 @@ from hurmono import (
     validate_marked_tuple,
 )
 from hurmono import moves
-from hurmono.moves import WORDS, half_twist
+from hurmono.golden import GoldenRow, spec_line, verify_row
+from hurmono.moves import WORDS, check_unmarked_image, half_twist, lifted_components
 from hurmono.perms import (
     compose,
     compose_all,
@@ -256,13 +259,22 @@ def test_moves_permute_the_sheet_set():
         assert images == set(range(len(sheets)))
 
 
+@functools.cache
+def marked_graph(spec):
+    return build_sheet_graph(spec)
+
+
+LIFT_SPECS = [row.spec for row in default_rows()] + [make_spec("6", "3", "3,3^4")]
+
+
 def test_graph_matches_per_sheet_moves():
     # build_sheet_graph moves each unmarked class once and gathers labels per
     # sheet; moving and canonicalizing every sheet on its own must agree.
     largest = make_spec("1,1,1,1", "0,0,0,0", "1,1,1,1^4")
-    specs = [row.spec for row in default_rows() if row.spec != largest]
-    for spec in [*specs, make_spec("6", "3", "3,3^4")]:
-        graph = build_sheet_graph(spec)
+    for spec in LIFT_SPECS:
+        if spec == largest:
+            continue
+        graph = marked_graph(spec)
         index = {t: k for k, t in enumerate(graph.sheets)}
         for b in BOUNDARY_LABELS:
             expected = tuple(index[canonicalize(MOVES[b](t))] for t in graph.sheets)
@@ -287,3 +299,93 @@ def test_full_twist_invariant_is_checked():
     broken = SheetGraph(spec=graph.spec, sheets=graph.sheets, s={**graph.s, "infty": swapped})
     with pytest.raises(InvariantViolation, match="does not divide the order"):
         components(broken)
+
+
+# ---------------------------------------------------------------------------
+# the marking-group lift
+
+
+def component_data(r):
+    """(degree, genus, ram, nodes) of a ComponentReport or a LiftedComponent."""
+    return (
+        r.degree,
+        r.genus,
+        *(r.ram[b] for b in BOUNDARY_LABELS),
+        *(r.nodes[b] for b in BOUNDARY_LABELS),
+    )
+
+
+@pytest.mark.parametrize("spec", LIFT_SPECS, ids=spec_line)
+def test_lift_matches_marked_graph(spec):
+    lifted = lifted_components(spec)
+    reports = components(marked_graph(spec))
+    assert component_multiset(lifted) == component_multiset(reports)
+    assert sum(c.copies * c.degree for c in lifted) == len(marked_graph(spec).sheets)
+    expected = collections.Counter(component_data(r) for r in reports)
+    got = collections.Counter()
+    for c in lifted:
+        got[component_data(c)] += c.copies
+    assert got == expected
+
+
+@pytest.mark.parametrize("spec", LIFT_SPECS, ids=spec_line)
+def test_marked_components_are_identical_copies(spec):
+    # the components over one unmarked component C are |G|/|Gamma_C|
+    # G-translates of one another, so they carry the same data
+    graph = marked_graph(spec)
+    lifted = lifted_components(spec)
+    home = {u: k for k, c in enumerate(lifted) for u in c.classes}
+    over = [[] for _ in lifted]
+    for r in components(graph):
+        over[home[graph.sheets[r.sheet_indices[0]].perms]].append(r)
+    for c, reports in zip(lifted, over):
+        assert len(reports) == c.copies
+        assert {component_data(r) for r in reports} == {component_data(c)}
+        assert {graph.sheets[i].perms for r in reports for i in r.sheet_indices} == set(c.classes)
+
+
+def test_lift_of_empty_space_and_fiber_count():
+    assert lifted_components(make_spec("2", "0", "2;1,1;1,1;1,1")) == ()
+    with pytest.raises(SpecError, match="exactly 4"):
+        lifted_components(make_spec("2", "0", "2;2;1,1"))
+
+
+def golden_row(*args):
+    return GoldenRow(spec=make_spec(*args), expected=((1, 0, 1),))
+
+
+@pytest.mark.parametrize(
+    "args", [("3", "0", "2,1^4"), ("4", "1", "3,1^4"), ("4", "2", "4;4;3,1;3,1")]
+)
+def test_broken_boundary_relation_is_caught_by_lift(monkeypatch, args):
+    # as in test_broken_boundary_relation_is_caught: zero, then one, then infty
+    # no longer returns every class with a voltage in H_U
+    monkeypatch.setitem(moves.MOVES, "zero", moves.MOVES["one"])
+    with pytest.raises(InvariantViolation, match="do not compose"):
+        lifted_components(make_spec(*args))
+    with pytest.raises(InvariantViolation, match="do not compose"):
+        verify_row(golden_row(*args))
+
+
+def test_move_leaving_the_sheet_set_is_caught_by_lift(monkeypatch):
+    monkeypatch.setitem(moves.MOVES, "zero", moves._braid_move((1,)))
+    with pytest.raises(InvariantViolation, match="left the sheet set"):
+        lifted_components(make_spec("3", "0", "3;2,1;2,1;1,1,1"))
+    with pytest.raises(InvariantViolation, match="left the sheet set"):
+        verify_row(golden_row("3", "0", "3;2,1;2,1;1,1,1"))
+
+
+def test_lifted_full_twist_invariant_is_checked(monkeypatch):
+    # with every node product the identity, the lifted cycles of length 2 and
+    # more cannot divide its order
+    monkeypatch.setattr(moves, "node_product", lambda t, b: identity(t.degree))
+    with pytest.raises(InvariantViolation, match="does not divide the order"):
+        lifted_components(make_spec("4", "2", "4;4;3,1;3,1"))
+
+
+def test_unmarked_image_check():
+    check_unmarked_image(degree=6, genus=1, base_degree=3, base_genus=1)
+    with pytest.raises(InvariantViolation, match="cannot cover"):
+        check_unmarked_image(degree=6, genus=0, base_degree=3, base_genus=1)
+    with pytest.raises(InvariantViolation, match="cannot cover"):
+        check_unmarked_image(degree=4, genus=2, base_degree=3, base_genus=0)

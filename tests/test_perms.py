@@ -3,7 +3,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hurmono.marked
@@ -22,6 +22,7 @@ from hurmono.perms import (
     cycle_decomposition,
     cycle_type,
     from_cycles,
+    group_order,
     identity,
     inverse,
     orbits,
@@ -191,6 +192,37 @@ def test_centralizer_order(p):
     assert len(cent) == _zmu(cycle_type(p))
     assert list(cent) == sorted(cent)
     assert all(compose(w, p) == compose(p, w) for w in cent)
+
+
+@st.composite
+def subgroup_generators(draw):
+    """A degree n <= 8 and up to three permutations, each moving a random
+    subset of the points, so that small and large subgroups both occur."""
+    n = draw(st.integers(1, 8))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        support = draw(st.lists(st.integers(0, n - 1), unique=True))
+        images = draw(st.permutations(support))
+        g = list(range(n))
+        for x, y in zip(support, images):
+            g[x] = y
+        gens.append(tuple(g))
+    return n, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(subgroup_generators())
+def test_group_order_matches_closure(n_gens):
+    n, gens = n_gens
+    closure = {tuple(range(n))}
+    todo = list(closure)
+    for g in todo:
+        for s in gens:
+            h = compose(s, g)
+            if h not in closure:
+                closure.add(h)
+                todo.append(h)
+    assert group_order(gens, n) == len(closure)
 
 
 def test_all_perms():

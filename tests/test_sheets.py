@@ -12,13 +12,19 @@ from hurmono import (
     component_signature,
     count_sheets,
     default_rows,
+    enumerate_markings,
     enumerate_sheets,
     make_spec,
     tuple_key,
     validate_marked_tuple,
 )
 from hurmono.perms import MAX_DEGREE, centralizer, conjugacy_class, conjugate
-from hurmono.sheets import _orbit_representatives
+from hurmono.sheets import (
+    _orbit_representatives,
+    label_stabilizer,
+    marking_group_order,
+    unmarked_classes,
+)
 
 
 def spec_for(signature, profiles):
@@ -163,6 +169,23 @@ def test_known_counts():
     assert count_sheets(make_spec("4", "3", "4^4")) == 8
     assert count_sheets(make_spec("4", "1", "2,2^4")) == 12
     assert count_sheets(make_spec("6", "3", "3,3^4")) == 264
+
+
+def test_count_sheets_matches_enumeration_on_golden():
+    # count_sheets sums |G|/|H_U| over the unmarked classes and lists no sheet
+    for row in default_rows():
+        assert count_sheets(row.spec) == len(enumerate_sheets(row.spec)), row.spec
+
+
+def test_base_marking_is_the_first_marking():
+    spec = make_spec("4", "1", "2,2^4")
+    for perms in unmarked_classes(spec):
+        base, stabilizer = label_stabilizer(perms)
+        offsets = itertools.accumulate((len(mu) for mu in spec.profiles), initial=0)
+        for i, (p, mu, offset) in enumerate(zip(perms, spec.profiles, offsets)):
+            first = enumerate_markings(p, mu)[0]
+            assert base[i * spec.d : (i + 1) * spec.d] == tuple(x + offset - 1 for x in first)
+        assert marking_group_order(spec) % len(stabilizer) == 0
 
 
 def test_degree_guard():
