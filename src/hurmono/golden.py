@@ -176,6 +176,10 @@ def parse_golden(text: str, source: str = "<golden>") -> tuple[GoldenRow, ...]:
             expected = _parse_expect(fields["expect"])
         except (SpecError, ValueError) as exc:
             raise GoldenParseError(str(exc), source, line_no) from None
+        if spec.m != 4:
+            raise GoldenParseError(
+                f"verify needs exactly 4 marked fibers, got {spec.m}", source, line_no
+            )
         rows.append(GoldenRow(spec=spec, expected=expected, line_no=line_no))
     return tuple(rows)
 
@@ -232,7 +236,8 @@ def _matches(expected: tuple[ExpectTriple, ...], computed) -> bool:
 def verify_row(row: GoldenRow) -> RowVerdict:
     """Recompute one row and compare the component multiset exactly.
 
-    Besides the multiset comparison, a fully-asserted row must satisfy the
+    The verdict's sheet_count is sum(count * degree) over the computed
+    multiset, so a fully-asserted row that matches also meets the
     bookkeeping identity sum(count * degree) == number of sheets.
     """
     lifted = lifted_components(row.spec)
@@ -241,8 +246,6 @@ def verify_row(row: GoldenRow) -> RowVerdict:
     # |Gamma_C|/|H_U| sheets to each of the |G|/|Gamma_C| components over C
     sheet_count = sum(c.copies * c.degree for c in lifted)
     passed = _matches(row.expected, computed)
-    if passed and row.asserted:
-        passed = sum(c * deg for c, _, deg in row.expected) == sheet_count
     return RowVerdict(row=row, computed=computed, sheet_count=sheet_count, passed=passed)
 
 

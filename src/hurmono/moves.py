@@ -15,23 +15,19 @@ the prefix carries fiber 4 next to fiber i and the full twist conjugates the
 pair by its product, the node product at b (README.md's main conjugator).
 
 A move sends an unmarked class U to one class U' and relabels every marking
-of U the same way.  So build_sheet_graph applies each move once per class,
-to U with position labels; per sheet it only gathers the labels through the
-result and looks the gathered key up in the table of the marking orbits of
-U'.  The sheets arrive from enumerate_sheets in canonical order, with the
-sheets of one class contiguous, and nothing sorts them again.
+of U the same way: in coordinates (sheets.coordinate_reader) it sends the sheet
+g H_U to g k H_U' for one voltage k in the marking group G.  class_graph runs
+each move once per class, on the first marking, and checks that the moves
+permute the sheets and that zero, then one, then infty compose to the
+identity.  The sheet graph is the derived graph of this voltage assignment
+(Gross & Tucker, Discrete Math. 18, 1977): build_sheet_graph reads it off
+per sheet, and lifted_components reads the component data off the classes
+alone, with no marked sheet listed.
 
-Each move permutes the canonical sheet set of a space, and the moves around
-zero, then one, then infty compose to the identity; build_sheet_graph checks
-both.  The three permutations generate the monodromy group of the target
+The three sheet permutations generate the monodromy group of the target
 map, whose orbits are the connected components of the space.  Per
 component, Riemann-Hurwitz over the genus-0 moduli of 4-marked targets gives
 the component genus from the three ramification partitions.
-
-lifted_components gets the same component data from the unmarked classes
-alone: the marked sheet graph is the derived graph of a permutation voltage
-assignment in the marking group on the graph of classes (Gross & Tucker,
-Discrete Math. 18, 1977), so no marked sheet is listed.
 """
 
 from __future__ import annotations
@@ -39,8 +35,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, groupby
+from operator import attrgetter, getitem, itemgetter
 
 from .marked import (
     HurwitzSpec,
@@ -66,10 +62,12 @@ from .perms import (
     orbits,
 )
 from .sheets import (
+    coordinate_reader,
     enumerate_sheets,
+    fiber_coordinates,
+    first_marking,
     label_stabilizer,
     marking_group_order,
-    orbit_maps,
     unmarked_classes,
 )
 
@@ -152,24 +150,48 @@ class ComponentReport:
     nodes: Mapping[str, tuple[Partition, ...]]
 
 
-def _class_moves(spec: HurwitzSpec, classes) -> dict[str, list[MarkedTuple]]:
-    """Per boundary, the canonical image under its move of each unmarked class
-    U in ``classes``, labelled by positions: ``positions[i][x] = i*d + x``.
+def class_graph(spec: HurwitzSpec, classes):
+    """The three moves on ``classes``, the ascending unmarked classes of a
+    space: (stabilizers, target, voltage).
 
-    The image lies over a class U', and its labels name, per point, the
-    position in the flat label key of a marking of U that the image reads.
-    Raises InvariantViolation when U' is not in ``classes``.
+    Each move runs once per class U, on its first marking.  The move around
+    b sends the u-th class to the target[b][u]-th, U', and the sheet
+    (U, g H_U) to (U', g k H_U'), where k = voltage[b][u] is the coordinate
+    of the canonical image and H_U = stabilizers[u] (sheets.label_stabilizer).
+    The sheet graph is the derived graph of this voltage assignment in G.
+
+    Raises InvariantViolation when a move leaves ``classes``; when it does
+    not permute the classes or some k^-1 H_U k is not H_U', so that it is not
+    a bijection of sheets; and unless zero, then one, then infty return every
+    class U with a voltage in H_U, so that they compose to e on the sheets.
     """
-    d = spec.d
-    positions = tuple(tuple(range(i * d, (i + 1) * d)) for i in range(spec.m))
-    out = {}
-    for boundary, mover in MOVES.items():
-        out[boundary] = [
-            canonicalize(mover(MarkedTuple(perms=u, labels=positions))) for u in classes
-        ]
-        if any(t.perms not in classes for t in out[boundary]):
-            raise InvariantViolation(f"move around {boundary} left the sheet set of {spec}")
-    return out
+    index = {u: k for k, u in enumerate(classes)}
+    stabilizers = tuple(map(label_stabilizer, classes))
+    e = tuple(range(sum(map(len, spec.profiles))))  # on the label points
+    firsts = [MarkedTuple(u, first_marking(u)) for u in classes]
+    readers = list(map(coordinate_reader, classes))
+    target, voltage = {}, {}
+    for b, move in MOVES.items():
+        moved = [canonicalize(move(t)) for t in firsts]
+        if any(t.perms not in index for t in moved):
+            raise InvariantViolation(f"move around {b} left the sheet set of {spec}")
+        target[b] = tuple(index[t.perms] for t in moved)
+        voltage[b] = tuple(readers[v](t.labels) for v, t in zip(target[b], moved))
+        # k^-1 H_U k = H_U' checked as H_U k = k H_U'; itemgetter(*k)(h) is h k
+        if sorted(target[b]) != list(range(len(classes))) or any(
+            set(map(itemgetter(*k), stabilizers[u])) != {itemgetter(*h)(k) for h in stabilizers[v]}
+            for u, (v, k) in enumerate(zip(target[b], voltage[b]))
+        ):
+            raise InvariantViolation(f"move around {b} is not a bijection of sheets")
+    for u in range(len(classes)):
+        v, k = u, e
+        for b in BOUNDARY_LABELS:
+            v, k = target[b][v], compose(k, voltage[b][v])
+        if v != u or k not in stabilizers[u]:
+            raise InvariantViolation(
+                f"moves around zero, then one, then infty do not compose to e on {spec}"
+            )
+    return stabilizers, target, voltage
 
 
 def _check_full_twist(length: int, profile: Partition, boundary: str, spec: HurwitzSpec) -> None:
@@ -182,52 +204,35 @@ def _check_full_twist(length: int, profile: Partition, boundary: str, spec: Hurw
 
 
 def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
-    """Enumerate the sheets and the action of the three moves on them.
+    """Enumerate the sheets and the action of the three moves on them: the
+    derived graph of class_graph on the classes of the sheets.
 
-    Each move runs once per unmarked class U (_class_moves), so one gather
-    and one lookup in the table of marking-orbit keys of U' give each
-    sheet's image.
-
-    Raises InvariantViolation unless each move permutes the sheets and the
-    moves around zero, then one, then infty compose to the identity (the
-    loops around the three boundary points compose to a contractible loop).
+    A table from every element of G to the sheet whose coset holds it, per
+    class, reads the image g k H_U' of each sheet g H_U.  Raises
+    InvariantViolation where class_graph does.
     """
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
     sheets = enumerate_sheets(spec)
-    keys = [tuple(chain.from_iterable(t.labels)) for t in sheets]
-    classes: dict[tuple[Perm, ...], list[int]] = {}
-    for k, t in enumerate(sheets):
-        classes.setdefault(t.perms, []).append(k)
-    # tables[U]: every marking vector of U, as a flat key, to its sheet index
-    tables = {}
-    for perms, members in classes.items():
-        getters = orbit_maps(perms)
-        table = tables[perms] = {}
-        for k in members:
-            table[keys[k]] = k
-            for g in getters:
-                table[g(keys[k])] = k
+    stabilizers, target, voltage = class_graph(spec, tuple(dict.fromkeys(t.perms for t in sheets)))
+    # coordinates[u]: the coordinate of each sheet over class u; tables[u]:
+    # every element of G to the index of the sheet over u whose coset holds it
+    coordinates, tables, n = [], [], 0
+    by_class = groupby(sheets, attrgetter("perms"))
+    for (perms, members), stabilizer in zip(by_class, stabilizers):
+        parts = fiber_coordinates(perms, spec)
+        coords = [tuple(chain.from_iterable(map(getitem, parts, t.labels))) for t in members]
+        getters = [itemgetter(*h) for h in stabilizer]
+        tables.append({get(g): n + k for k, g in enumerate(coords) for get in getters})
+        coordinates.append(coords)
+        n += len(coords)
     maps = {}
-    for boundary, moved in _class_moves(spec, classes).items():
-        images = [0] * len(sheets)
-        for t, members in zip(moved, classes.values()):
-            get = itemgetter(*chain.from_iterable(t.labels))
-            try:
-                table = tables[t.perms]
-                for k in members:
-                    images[k] = table[get(keys[k])]
-            except KeyError:
-                raise InvariantViolation(
-                    f"move around {boundary} left the sheet set of {spec}"
-                ) from None
-        if sorted(images) != list(range(len(sheets))):
-            raise InvariantViolation(f"move around {boundary} is not a bijection of sheets")
-        maps[boundary] = tuple(images)
-    if compose_all(maps[b] for b in reversed(BOUNDARY_LABELS)) != tuple(range(len(sheets))):
-        raise InvariantViolation(
-            f"moves around zero, then one, then infty do not compose to e on {spec}"
-        )
+    for b in BOUNDARY_LABELS:
+        images = []
+        for coords, v, k in zip(coordinates, target[b], voltage[b]):
+            get, table = itemgetter(*k), tables[v]
+            images += [table[get(g)] for g in coords]
+        maps[b] = tuple(images)
     return SheetGraph(spec=spec, sheets=sheets, s=maps)
 
 
@@ -322,49 +327,25 @@ def lifted_components(spec: HurwitzSpec) -> tuple[LiftedComponent, ...]:
     """The components of components(build_sheet_graph(spec)), from the
     unmarked classes alone, grouped by the unmarked component they cover.
 
-    The sheets over a class U are the cosets G/H_U (sheets.label_stabilizer,
-    base marking b_U).  Each move runs once per class U, as in
-    build_sheet_graph, and sends (U, g H_U) to (U', g k H_U') for one voltage
-    k in G, so the marked sheet graph is the derived graph of a permutation
-    voltage assignment on the class graph.  Per unmarked component C, with
+    The sheets over a class U are the cosets G/H_U, and the marked sheet
+    graph is the derived graph of class_graph's voltage assignment, the
+    same one build_sheet_graph derives.  Per unmarked component C, with
     t_U from a spanning tree, Gamma_C = <t_U H_U t_U^-1, t_U k t_U'^-1> and C
     carries |G|/|Gamma_C| marked components of degree sum_U |Gamma_C|/|H_U|.
     A cycle of a class move of length l through U, with holonomy q, lifts to
     |Gamma_C|/(|H_U| r) cycles of length l r per marked component, r >= 1
     least with q^r in H_U.
 
-    Raises InvariantViolation where build_sheet_graph and components do,
-    restated on the classes (zero, then one, then infty must return U with a
-    voltage in H_U), and where check_unmarked_image does.
+    Raises InvariantViolation where class_graph does, where components does
+    (restated on the lifted cycles), and where check_unmarked_image does.
     """
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
     classes = unmarked_classes(spec)
     if not classes:
         return ()
-    index = {u: k for k, u in enumerate(classes)}
-    bases, stabs = zip(*map(label_stabilizer, classes))
+    stabs, target, voltage = class_graph(spec, classes)
     e = tuple(range(sum(map(len, spec.profiles))))  # on the label points
-    # target[b][u] = v and voltage[b][u] = k: the move around b sends the base
-    # marking of class u to the marking k.b_v of class v
-    target, voltage = {}, {}
-    for b, moved in _class_moves(spec, index).items():
-        target[b], voltage[b] = [index[t.perms] for t in moved], []
-        for u, t in enumerate(moved):
-            k = list(e)
-            for point, p in zip(bases[target[b][u]], chain.from_iterable(t.labels)):
-                k[point] = bases[u][p]
-            voltage[b].append(tuple(k))
-        if sorted(target[b]) != list(range(len(classes))):
-            raise InvariantViolation(f"move around {b} is not a bijection of sheets")
-    for u in range(len(classes)):
-        v, k = u, e
-        for b in BOUNDARY_LABELS:
-            v, k = target[b][v], compose(k, voltage[b][v])
-        if v != u or k not in stabs[u]:
-            raise InvariantViolation(
-                f"moves around zero, then one, then infty do not compose to e on {spec}"
-            )
     comps = orbits(list(target.values()), len(classes))
     comp_of = {u: c for c, comp in enumerate(comps) for u in comp}
     cycles = [[] for _ in comps]  # (boundary, cycle of its class move) per component

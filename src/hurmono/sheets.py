@@ -1,42 +1,41 @@
 """Sheet enumeration: one canonical marked tuple per simultaneous-conjugacy
 class compatible with a Hurwitz spec.
 
-Generation fixes sigma_1 to a single representative of its conjugacy class
-(every conjugacy class of tuples contains a tuple of that shape), takes one
-sigma_2 per Z(sigma_1)-orbit of its class (conjugating by the centralizer
-keeps sigma_1), iterates sigma_3..sigma_{m-1} over their conjugacy classes and
-forces sigma_m to close the product; candidates failing the last cycle type or
-the component-signature filter are dropped.  Distinct candidates landing
-in the same unmarked conjugacy class are merged, and per unmarked class the
-markings are swept in ascending order while knocking out the orbit of each
-new representative under the class centralizer.  The first-seen marking of
-each orbit is therefore exactly the canonical one, so the sweep emits
-canonical sheets directly.
+unmarked_classes is the prefix scan.  It fixes sigma_1 to a single
+representative of its conjugacy class (every conjugacy class of tuples
+contains a tuple of that shape), takes one sigma_2 per Z(sigma_1)-orbit of its
+class (conjugating by the centralizer keeps sigma_1), iterates
+sigma_3..sigma_{m-1} over their conjugacy classes and forces sigma_m to close
+the product; candidates failing the last cycle type or the component-signature
+filter are dropped, and the rest are merged into their unmarked classes U.
 
-The sweep order is the canonical order, and nothing sorts the sheets: the
-unmarked classes are swept in ascending order, tuple_key compares the
-permutations first, and within one class the marking product runs in
-ascending markings_key order.  The sheets of one class are contiguous.
+A marking of U is encoded by its coordinate in the marking group G (per
+fiber, the relabelings of equal-length cycles), which acts freely and
+transitively on the markings of U.  The sheets over U are therefore the
+cosets g H_U, H_U the image of Aut(U) in G (label_stabilizer), and
+count_sheets sums |G|/|H_U| without the sweep.  The sweep walks the
+coordinates of U in ascending order and marks the coset of each unseen one
+seen, so the coordinate it keeps is the least of its coset: a canonical sheet.
 
-unmarked_classes is the scan alone.  The marking group G (per fiber, the
-relabelings of equal-length cycles) acts freely and transitively on the
-markings of a class U, so the sheets over U are the cosets G/H_U, H_U the
-image of Aut(U) in G (label_stabilizer), and count_sheets sums |G|/|H_U|
-without the sweep.
+Nothing sorts the sheets: the classes are swept in ascending order, tuple_key
+compares the permutations first, and ascending coordinates are ascending
+markings_key.  The sheets of one class are contiguous.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .marked import (
     HurwitzSpec,
+    LabelVector,
     MarkedTuple,
     _unmarked_minimum,
     enumerate_markings,
     signature_of_perms,
+    transport_labels,
     # Not called: the benchmark's tracer wraps this name until ROADMAP item 1.
     tuple_key,
 )
@@ -116,40 +115,26 @@ def _orbit_representatives(cls, group) -> list:
     return reps
 
 
-def orbit_maps(perms) -> list[itemgetter]:
-    """One getter per non-identity z in Aut(perms), for canonical ``perms``.
-
-    A getter sends the flat label key ``tuple(chain.from_iterable(labels))``
-    of a marking of ``perms`` to the key of its transport by z: position
-    i*d + x reads i*d + z^-1(x).  Since m*d >= 3, every getter returns a
-    tuple.
-    """
-    _, stabilizer = _unmarked_minimum(perms)
-    d = len(perms[0])
-    return [
-        itemgetter(*(i * d + x for i in range(len(perms)) for x in inverse(z)))
-        for z in stabilizer
-        if z != tuple(range(d))
-    ]
-
-
 def _sheets_of_unmarked_class(perms, spec: HurwitzSpec) -> list[MarkedTuple]:
     """Canonical sheets whose permutation part is the (canonical) ``perms``.
 
-    Sweeps the full marking product in ascending order; each unseen vector is
-    the minimum of its orbit under the centralizer of ``perms``, hence
-    canonical, and its whole orbit is marked seen.
+    Walks the coordinates of the markings in ascending order; each unseen
+    coordinate g is the least element of its coset g H_U, hence canonical,
+    and the whole coset is marked seen.
     """
-    maps = orbit_maps(perms)
-    fibers = [enumerate_markings(p, mu) for p, mu in zip(perms, spec.profiles)]
+    parts = fiber_coordinates(perms, spec)
+    markings = [{part: lab for lab, part in fiber.items()} for fiber in parts]
+    e = tuple(range(sum(map(len, spec.profiles))))
+    getters = [itemgetter(*h) for h in label_stabilizer(perms) if h != e]
     out = []
-    seen: set[tuple] = set()
-    for labels in itertools.product(*fibers):
-        key = tuple(itertools.chain.from_iterable(labels))
-        if key in seen:
+    seen: set[Perm] = set()
+    for coordinate_parts in itertools.product(*markings):
+        g = tuple(itertools.chain.from_iterable(coordinate_parts))
+        if g in seen:
             continue
+        labels = tuple(map(getitem, markings, coordinate_parts))
         out.append(MarkedTuple(perms=perms, labels=labels))
-        seen.update(g(key) for g in maps)
+        seen.update(get(g) for get in getters)
     return out
 
 
@@ -162,36 +147,56 @@ def marking_group_order(spec: HurwitzSpec) -> int:
     )
 
 
-def label_stabilizer(perms) -> tuple[tuple[int, ...], frozenset[Perm]]:
-    """The base marking of the canonical ``perms`` and H_U, the image of
-    Aut(perms) in G.
-
-    G acts on label points: label j of fiber i is the point n_1 + ... +
-    n_{i-1} + j - 1, where n_i counts the cycles of sigma_i.  The base marking
-    is the first vector of enumerate_markings on every fiber, so the j-th
-    cycle of sigma_i in canonical order carries label j; it is returned as its
-    label point per flat position i*d + x.  z in Aut(perms) transports it to
-    the marking h.base for one h in G, and H_U collects those h.
-    """
-    d = len(perms[0])
-    base = [0] * (len(perms) * d)
-    offset = 0
-    for i, p in enumerate(perms):
-        for cyc in cycle_decomposition(p):
+def first_marking(perms) -> tuple[LabelVector, ...]:
+    """The first vector of enumerate_markings on every fiber: the j-th cycle
+    of sigma_i in canonical order carries label j.  Its coordinate is e."""
+    out = []
+    for p in perms:
+        lab = [0] * len(p)
+        for j, cyc in enumerate(cycle_decomposition(p), start=1):
             for x in cyc:
-                base[i * d + x] = offset
-            offset += 1
-    images = {tuple(range(offset))}
-    for g in orbit_maps(perms):
-        h = [0] * offset
-        for point, image in zip(base, g(base)):
-            h[point] = image
-        images.add(tuple(h))
-    return tuple(base), frozenset(images)
+                lab[x] = j
+        out.append(tuple(lab))
+    return tuple(out)
+
+
+def coordinate_reader(perms):
+    """The function that sends a marking of ``perms`` to its coordinate in G:
+    its markings_key read on the label points, label j of fiber i being the
+    point n_1 + ... + n_{i-1} + j - 1, where n_i counts the cycles of sigma_i.
+
+    Relabeling by h in G sends the coordinate g to h g; transporting by z in
+    Aut(perms) sends it to g h_z^-1, h_z the permutation of the cycles by z.
+    """
+    starts: list[tuple[int, int, int]] = []  # (fiber, first point of a cycle, base)
+    for i, p in enumerate(perms):
+        base = len(starts) - 1
+        starts += [(i, cyc[0], base) for cyc in cycle_decomposition(p)]
+    return lambda labels: tuple(base + labels[i][x] for i, x, base in starts)
+
+
+def fiber_coordinates(perms, spec: HurwitzSpec) -> list[dict[LabelVector, tuple[int, ...]]]:
+    """Per fiber i, each marking of sigma_i, ascending, to its part of the
+    coordinate; the parts of its fibers concatenate to a marking's coordinate."""
+    parts, offset = [], -1
+    for p, mu in zip(perms, spec.profiles):
+        firsts = [cyc[0] for cyc in cycle_decomposition(p)]  # as marking_key reads them
+        markings = enumerate_markings(p, mu)
+        parts.append({lab: tuple(offset + lab[x] for x in firsts) for lab in markings})
+        offset += len(mu)
+    return parts
+
+
+def label_stabilizer(perms) -> frozenset[Perm]:
+    """H_U for the canonical ``perms``: the coordinates of the transports of
+    its first marking by every z in Aut(perms).  The markings of the sheet of
+    coordinate g are the coset g H_U."""
+    read, first = coordinate_reader(perms), first_marking(perms)
+    return frozenset(read(transport_labels(z, first)) for z in _unmarked_minimum(perms)[1])
 
 
 def count_sheets(spec: HurwitzSpec) -> int:
     """Number of sheets of the space, sum over unmarked classes U of
     |G|/|H_U| (the markings of U modulo Aut(U)); 0 for empty spaces."""
     order = marking_group_order(spec)
-    return sum(order // len(label_stabilizer(u)[1]) for u in unmarked_classes(spec))
+    return sum(order // len(label_stabilizer(u)) for u in unmarked_classes(spec))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,8 +8,15 @@ import sys
 
 import pytest
 
-from hurmono import build_sheet_graph, components, make_spec
-from hurmono.cli import report_from_json_obj
+from hurmono import (
+    build_sheet_graph,
+    components,
+    count_sheets,
+    default_rows,
+    make_spec,
+    partition_str,
+)
+from hurmono.cli import main, report_from_json_obj
 
 
 def run_cli(*args, check=False):
@@ -225,6 +233,20 @@ def test_verify_goldens_parse_error_location(tmp_path):
     assert f"{path}:3:" in proc.stderr
 
 
+@pytest.mark.parametrize("profiles, m", [("2;2;1,1", 3), ("2;2;2;2;1,1", 5)])
+def test_verify_goldens_row_without_four_fibers_is_a_parse_error(tmp_path, profiles, m):
+    # refused while parsing, before the good first row runs
+    path = tmp_path / "fibers.txt"
+    path.write_text(
+        "degrees=2 genera=1 profiles=2;2;2;2 expect=1:0:1\n"
+        f"degrees=2 genera=0 profiles={profiles} expect=1:0:1\n"
+    )
+    proc = run_cli("verify", "--goldens", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {path}:2: verify needs exactly 4 marked fibers, got {m}\n"
+
+
 def test_verify_goldens_not_utf8_names_the_line(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(
@@ -421,3 +443,30 @@ PINNED_OUTPUT = [
 def test_output_pinned(args, sha256):
     proc = run_cli(*args, check=True)
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == sha256
+
+
+def test_golden_rows_report_and_sheets_pinned():
+    # `report --format json`, `report -v` and `sheets --format csv` of every
+    # golden row below 2,000 sheets, run in-process and hashed together in row
+    # order; recorded before the sheet graph became the derived graph of the
+    # class graph.  Record a new value only for an intended change of output.
+    digest = hashlib.sha256()
+    rows = [row for row in default_rows() if count_sheets(row.spec) < 2000]
+    assert len(rows) == 51
+    for row in rows:
+        spec = row.spec
+        flags = (
+            "--degrees", ",".join(map(str, spec.degrees)),
+            "--genera", ",".join(map(str, spec.genera)),
+            "--profiles", ";".join(partition_str(mu) for mu in spec.profiles),
+        )
+        for args in (
+            ("report", *flags, "--format", "json"),
+            ("report", *flags, "-v"),
+            ("sheets", *flags, "--format", "csv"),
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(list(args)) == 0
+            digest.update(out.getvalue().encode("utf-8"))
+    assert digest.hexdigest() == "b18216665c469d65266ed51d43fb941a17e342faee77351026c0320ab23f9f1c"

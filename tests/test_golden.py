@@ -71,6 +71,14 @@ def test_expect_wildcard_degree():
         ("degrees=2 genera=1 profiles=2;2;2;2 expect=1:0", "not count:genus:degree"),
         ("degrees=2 genera=1 profiles=2;2;2;2 expect=0:0:1", "out of range"),
         ("degrees=2 genera=1 profiles=2;3;2;2 expect=1:0:1", "weight"),
+        (
+            "degrees=2 genera=0 profiles=2;2;1,1 expect=1:0:1",
+            "t.txt:3: verify needs exactly 4 marked fibers, got 3",
+        ),
+        (
+            "degrees=2 genera=0 profiles=2;2;2;2;1,1 expect=1:0:1",
+            "t.txt:3: verify needs exactly 4 marked fibers, got 5",
+        ),
     ],
 )
 def test_parse_golden_rejects(line, fragment):

@@ -27,7 +27,7 @@ from hurmono import (
     transport_marking,
     validate_marked_tuple,
 )
-from hurmono import moves
+from hurmono import moves, sheets
 from hurmono.golden import GoldenRow, spec_line, verify_row
 from hurmono.moves import WORDS, check_unmarked_image, half_twist, lifted_components
 from hurmono.perms import (
@@ -37,6 +37,7 @@ from hurmono.perms import (
     identity,
     inverse,
 )
+from hurmono.sheets import unmarked_classes
 
 
 def perms_of_degree(d):
@@ -373,6 +374,38 @@ def test_move_leaving_the_sheet_set_is_caught_by_lift(monkeypatch):
         lifted_components(make_spec("3", "0", "3;2,1;2,1;1,1,1"))
     with pytest.raises(InvariantViolation, match="left the sheet set"):
         verify_row(golden_row("3", "0", "3;2,1;2,1;1,1,1"))
+
+
+def test_move_that_is_not_a_bijection_is_caught(monkeypatch):
+    # With H_U shrunk to {e} on the first class only, the move around zero
+    # sends its |G| cosets into the |G|/2 cosets of the second class.
+    spec = make_spec("4", "2", "4;4;2,2;2,2")
+    first = unmarked_classes(spec)[0]
+    stabilizer = moves.label_stabilizer
+    monkeypatch.setattr(
+        moves,
+        "label_stabilizer",
+        lambda u: frozenset({tuple(range(6))}) if u == first else stabilizer(u),
+    )
+    with pytest.raises(InvariantViolation, match="zero is not a bijection of sheets"):
+        build_sheet_graph(spec)
+    with pytest.raises(InvariantViolation, match="zero is not a bijection of sheets"):
+        lifted_components(spec)
+
+
+def test_lift_lists_no_marking_and_report_scans_once(monkeypatch):
+    # the lift works per class, so its cost does not grow with |G|; the
+    # sheet graph takes its classes from the swept sheets, not a second scan
+    spec = make_spec("1,1,1,1", "0,0,0,0", "1,1,1,1^4")  # |G| = 24^4
+    with monkeypatch.context() as patch:
+        patch.setattr(sheets, "enumerate_markings", None)
+        assert [(c.copies, c.degree) for c in lifted_components(spec)] == [(13824, 1)]
+    spec = make_spec("4", "1", "2,2^4")
+    scans = []
+    unmarked = sheets.unmarked_classes
+    monkeypatch.setattr(sheets, "unmarked_classes", lambda s: scans.append(s) or unmarked(s))
+    assert len(build_sheet_graph(spec).sheets) == 12
+    assert scans == [spec]
 
 
 def test_lifted_full_twist_invariant_is_checked(monkeypatch):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle import all_partitions, oracle_sheets
 
@@ -18,9 +18,23 @@ from hurmono import (
     tuple_key,
     validate_marked_tuple,
 )
-from hurmono.perms import MAX_DEGREE, centralizer, conjugacy_class, conjugate
+from hurmono.marked import _unmarked_minimum, markings_key, signature_of_perms, transport_labels
+from hurmono.perms import (
+    MAX_DEGREE,
+    all_perms,
+    centralizer,
+    compose,
+    compose_all,
+    conjugacy_class,
+    conjugate,
+    cycle_type,
+    inverse,
+)
 from hurmono.sheets import (
     _orbit_representatives,
+    _sheets_of_unmarked_class,
+    coordinate_reader,
+    first_marking,
     label_stabilizer,
     marking_group_order,
     unmarked_classes,
@@ -180,12 +194,72 @@ def test_count_sheets_matches_enumeration_on_golden():
 def test_base_marking_is_the_first_marking():
     spec = make_spec("4", "1", "2,2^4")
     for perms in unmarked_classes(spec):
-        base, stabilizer = label_stabilizer(perms)
-        offsets = itertools.accumulate((len(mu) for mu in spec.profiles), initial=0)
-        for i, (p, mu, offset) in enumerate(zip(perms, spec.profiles, offsets)):
-            first = enumerate_markings(p, mu)[0]
-            assert base[i * spec.d : (i + 1) * spec.d] == tuple(x + offset - 1 for x in first)
+        first = first_marking(perms)
+        assert first == tuple(enumerate_markings(p, mu)[0] for p, mu in zip(perms, spec.profiles))
+        # the first marking reads e on the label points, and e is in H_U
+        e = tuple(range(sum(map(len, spec.profiles))))
+        assert coordinate_reader(perms)(first) == e
+        stabilizer = label_stabilizer(perms)
+        assert e in stabilizer
         assert marking_group_order(spec) % len(stabilizer) == 0
+
+
+@st.composite
+def classes_with_spec(draw, max_degree=5):
+    """A canonical tuple U of degree <= 5 with 3 or 4 fibers, free prefix and
+    forced last factor, and the spec it belongs to; |G| is kept small."""
+    d = draw(st.integers(1, max_degree))
+    prefix = [
+        draw(st.permutations(list(range(d))).map(tuple)) for _ in range(draw(st.integers(2, 3)))
+    ]
+    perms = (*prefix, inverse(compose_all(prefix)))
+    signature = signature_of_perms(perms, d)
+    spec = spec_for(signature, tuple(cycle_type(p) for p in perms))
+    return _unmarked_minimum(perms)[0], spec
+
+
+def marking_group(spec):
+    """G built on its own: per fiber, every permutation of the label points of
+    each run of equal cycle lengths."""
+    factors, offset = [], 0
+    for mu in spec.profiles:
+        for _, run in itertools.groupby(mu):
+            points = range(offset, offset + len(list(run)))
+            factors.append(list(itertools.permutations(points)))
+            offset += len(points)
+    return {tuple(itertools.chain.from_iterable(g)) for g in itertools.product(*factors)}
+
+
+@settings(deadline=None, max_examples=60)
+@given(classes_with_spec())
+def test_marking_coordinates(case):
+    perms, spec = case
+    assume(marking_group_order(spec) <= 720)
+    group = marking_group(spec)
+    assert len(group) == marking_group_order(spec)
+    # the coordinates of the markings of U are exactly G, and ascending
+    # coordinates are ascending markings_key
+    markings = sorted(
+        itertools.product(*(enumerate_markings(p, mu) for p, mu in zip(perms, spec.profiles))),
+        key=lambda labels: markings_key(perms, labels),
+    )
+    read = coordinate_reader(perms)
+    coords = [read(labels) for labels in markings]
+    assert coords == sorted(group)
+    # H_U: the transports of the first marking by Aut(U), found by filtering S_d
+    first = first_marking(perms)
+    aut = [w for w in all_perms(len(perms[0])) if all(conjugate(w, p) == p for p in perms)]
+    stabilizer = label_stabilizer(perms)
+    assert stabilizer == {read(transport_labels(w, first)) for w in aut}
+    # each swept sheet's coordinate is the least element of its coset, and
+    # the cosets of the sheets partition G
+    covered = []
+    for t in _sheets_of_unmarked_class(perms, spec):
+        g = read(t.labels)
+        coset = {compose(g, h) for h in stabilizer}
+        assert g == min(coset)
+        covered += coset
+    assert sorted(covered) == sorted(group)
 
 
 def test_degree_guard():
