@@ -26,7 +26,7 @@ from .marked import HurwitzSpec, SpecError
 # build_sheet_graph and components are not called here: the benchmark's tracer
 # wraps these names until ROADMAP item 1.
 from .moves import build_sheet_graph, component_multiset, components, lifted_components
-from .perms import parse_partition, partition_str
+from .perms import TooLargeError, check_degree, parse_partition, partition_str
 from .sheets import check_fiber_count
 
 DEFAULT_GOLDEN_RESOURCE = "data/golden_tables.txt"
@@ -154,6 +154,8 @@ def _parse_expect(text: str) -> tuple[ExpectTriple, ...]:
 
 
 def parse_golden(text: str, source: str = "<golden>") -> tuple[GoldenRow, ...]:
+    """The rows of a golden file.  A row over a size guard raises
+    TooLargeError, any other bad row GoldenParseError; both name the line."""
     rows = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -173,7 +175,10 @@ def parse_golden(text: str, source: str = "<golden>") -> tuple[GoldenRow, ...]:
             raise GoldenParseError(f"unknown fields {sorted(extra)}", source, line_no)
         try:
             spec = make_spec(fields["degrees"], fields["genera"], fields["profiles"])
+            check_degree(spec.d)
             expected = _parse_expect(fields["expect"])
+        except TooLargeError as exc:  # exits 3 before any row runs
+            raise TooLargeError(f"{source}:{line_no}: {exc}") from None
         except (SpecError, ValueError) as exc:
             raise GoldenParseError(str(exc), source, line_no) from None
         if spec.m != 4:

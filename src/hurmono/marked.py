@@ -24,11 +24,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .perms import (
+    Cycle,
     Partition,
     Perm,
     TooLargeError,  # re-exported: callers also import it from hurmono.marked
-    all_perms,
+    centralizer,
     compose_all,
+    conjugacy_class,
     conjugate,
     cycle_decomposition,
     cycle_type,
@@ -210,33 +212,58 @@ def tuple_key(t: MarkedTuple):
     return (tuple(itertools.chain.from_iterable(t.perms)), markings_key(t.perms, t.labels))
 
 
+@lru_cache(maxsize=None)  # keyed by (cycle type, d): at most 96 entries for d <= 9
+def _least_of_class(mu: Partition, d: int) -> tuple[Perm, tuple[Cycle, ...], tuple[Perm, ...]]:
+    """The least permutation of cycle type mu, its cycles and its centralizer."""
+    least = conjugacy_class(mu, d)[0]
+    return least, cycle_decomposition(least), centralizer(least)
+
+
 @lru_cache(maxsize=65536)
 def _unmarked_minimum(perms: tuple[Perm, ...]) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
-    """Minimum of the conjugacy orbit of ``perms`` and all w achieving it."""
+    """Minimum of the conjugacy orbit of ``perms`` and all w achieving it, ascending.
+
+    The fibers before sigma_f, the first that is not the identity (f = 1 if
+    none is), stay e under every w, and the least conjugate of sigma_f is
+    m_f, the least member of its class.  So the minimum has m_f in place f,
+    and it is reached only on {w : w sigma_f w^-1 = m_f} = Z(m_f) w_0, where
+    w_0 sends the cycles of sigma_f onto those of m_f in canonical order.
+    """
     d = len(perms[0])
+    f = next((i for i, p in enumerate(perms) if p != tuple(range(d))), 0)
+    cycles = cycle_decomposition(perms[f])
+    least, least_cycles, group = _least_of_class(tuple(map(len, cycles)), d)
+    w0 = [0] * d
+    for cyc, image in zip(cycles, least_cycles):
+        for x, y in zip(cyc, image):
+            w0[x] = y
+    rest = perms[f + 1 :]
     best = None
     achievers = []
-    for w in all_perms(d):
-        imgs = tuple(conjugate(w, p) for p in perms)
+    for z in group:
+        w = tuple([z[y] for y in w0])
+        imgs = tuple([conjugate(w, p) for p in rest])
         if best is None or imgs < best:
             best = imgs
             achievers = [w]
         elif imgs == best:
             achievers.append(w)
-    return best, tuple(achievers)
+    return (*perms[:f], least, *best), tuple(sorted(achievers))
 
 
 def canonicalize(t: MarkedTuple) -> MarkedTuple:
     """Minimum of {transport_marking(w, t) : w in S_d} under tuple_key.
 
-    Exhaustive over all d! conjugators (two-stage: images first, then
-    markings over the achievers).  The scan starts in ``all_perms``, so
-    d > MAX_DEGREE raises TooLargeError there.
+    Two-stage: the images first, over one centralizer coset
+    (``_unmarked_minimum``), then the markings over its achievers, each read
+    on the cycle starts of the canonical images.  The class scans behind the
+    coset start in ``all_perms``, so d > MAX_DEGREE raises TooLargeError there.
     """
     cu, achievers = _unmarked_minimum(t.perms)
+    starts = [(i, cyc[0]) for i, p in enumerate(cu) for cyc in cycle_decomposition(p)]
     labels = min(
         (transport_labels(w, t.labels) for w in achievers),
-        key=lambda lab: markings_key(cu, lab),
+        key=lambda lab: [lab[i][x] for i, x in starts],
     )
     return MarkedTuple(perms=cu, labels=labels)
 

@@ -24,8 +24,9 @@ orbits are sorted inside and listed by minimum.
 
 MAX_DEGREE = 9 is the package's one degree guard, and ``check_degree`` is its
 one comparison: it raises TooLargeError above the bound and DegreeError below
-1.  Every scan over S_d (conjugacy classes, centralizers, the canonical forms
-of ``hurmono.marked``) starts in ``all_perms``, so each meets that guard.
+1.  Every scan over S_d (conjugacy classes, centralizers) starts in
+``all_perms``, so each meets that guard; the canonical forms of
+``hurmono.marked`` scan one coset of a centralizer built by those scans.
 """
 
 from __future__ import annotations

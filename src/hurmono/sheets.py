@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from operator import getitem, itemgetter
 
 from .marked import (
@@ -147,9 +148,11 @@ def marking_group_order(spec: HurwitzSpec) -> int:
     )
 
 
+@lru_cache(maxsize=65536)
 def first_marking(perms) -> tuple[LabelVector, ...]:
     """The first vector of enumerate_markings on every fiber: the j-th cycle
-    of sigma_i in canonical order carries label j.  Its coordinate is e."""
+    of sigma_i in canonical order carries label j.  Its coordinate is e.
+    Cached, as coordinate_reader is: the class graph and H_U both use them."""
     out = []
     for p in perms:
         lab = [0] * len(p)
@@ -160,6 +163,7 @@ def first_marking(perms) -> tuple[LabelVector, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=65536)
 def coordinate_reader(perms):
     """The function that sends a marking of ``perms`` to its coordinate in G:
     its markings_key read on the label points, label j of fiber i being the
@@ -169,9 +173,10 @@ def coordinate_reader(perms):
     Aut(perms) sends it to g h_z^-1, h_z the permutation of the cycles by z.
     """
     starts: list[tuple[int, int, int]] = []  # (fiber, first point of a cycle, base)
-    for i, p in enumerate(perms):
+    for i, lab in enumerate(first_marking(perms)):
+        # a cycle starts at its least point, the first one carrying its label
         base = len(starts) - 1
-        starts += [(i, cyc[0], base) for cyc in cycle_decomposition(p)]
+        starts += [(i, lab.index(j), base) for j in range(1, max(lab) + 1)]
     return lambda labels: tuple(base + labels[i][x] for i, x, base in starts)
 
 

@@ -247,6 +247,27 @@ def test_verify_goldens_row_without_four_fibers_is_a_parse_error(tmp_path, profi
     assert proc.stderr == f"error: {path}:2: verify needs exactly 4 marked fibers, got {m}\n"
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (
+            f"degrees=10 genera=0 profiles={','.join(['1'] * 10)}^4",
+            "degree must be at most 9, got 10",
+        ),
+        ("degrees=2 genera=0 profiles=2^7", "enumeration supports m <= 6, got 7"),
+    ],
+    ids=["degree", "fibers"],
+)
+def test_verify_goldens_row_over_a_guard_is_refused_while_parsing(tmp_path, row, message):
+    # exit 3 as for any instance too large, before the good first row runs
+    path = tmp_path / "big.txt"
+    path.write_text(f"degrees=2 genera=1 profiles=2;2;2;2 expect=1:0:1\n{row} expect=1:0:1\n")
+    proc = run_cli("verify", "--goldens", str(path))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {path}:2: instance too large: {message}\n"
+
+
 def test_verify_goldens_not_utf8_names_the_line(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurmono import (
@@ -23,13 +23,16 @@ from hurmono import (
 )
 from hurmono.marked import (
     InvariantViolation,
+    _unmarked_minimum,
     riemann_hurwitz_genus,
     signature_of_perms,
     valid_marking,
 )
 from hurmono.perms import (
     MAX_DEGREE,
+    all_perms,
     compose_all,
+    conjugate,
     cycle_type,
     identity,
     inverse,
@@ -135,6 +138,25 @@ def test_canonicalize_idempotent(t):
 def test_canonicalize_constant_on_orbits(tw):
     t, w = tw
     assert canonicalize(transport_marking(w, t)) == canonicalize(t)
+
+
+@st.composite
+def tuples_with_leading_identities(draw, max_degree=6):
+    """One to five permutations of degree <= 6, the first ``lead`` of them e;
+    ``lead`` may cover the whole tuple."""
+    d = draw(st.integers(1, max_degree))
+    perms = draw(st.lists(perms_of_degree(d), min_size=1, max_size=5))
+    lead = draw(st.integers(0, len(perms)))
+    return (identity(d),) * lead + tuple(perms[lead:])
+
+
+@settings(deadline=None)
+@given(tuples_with_leading_identities())
+@example((identity(6),) * 4)  # f falls back to 1 and the coset is all of S_6
+def test_unmarked_minimum_equals_the_exhaustive_scan(perms):
+    images = {w: tuple(conjugate(w, p) for p in perms) for w in all_perms(len(perms[0]))}
+    best = min(images.values())
+    assert _unmarked_minimum(perms) == (best, tuple(w for w in images if images[w] == best))
 
 
 def test_canonicalize_degree_guard():

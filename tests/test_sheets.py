@@ -185,6 +185,16 @@ def test_known_counts():
     assert count_sheets(make_spec("6", "3", "3,3^4")) == 264
 
 
+@pytest.mark.parametrize(
+    "genera, profiles, n",
+    [("3", "3,3,1^3;7", 9856), ("2", "3,1,1,1,1;3,1,1,1,1;7;7", 149184)],
+)
+def test_degree_seven_counts_equal_the_gluing_counts(genera, profiles, n):
+    # n was counted by gluing pairs of 3-point halves at infinity, with no
+    # canonical form of a 4-tuple (ROADMAP, item 10)
+    assert count_sheets(make_spec("7", genera, profiles)) == n
+
+
 def test_count_sheets_matches_enumeration_on_golden():
     # count_sheets sums |G|/|H_U| over the unmarked classes and lists no sheet
     for row in default_rows():
