@@ -21,8 +21,9 @@ each move once per class, on the first marking, and checks that the moves
 permute the sheets and that zero, then one, then infty compose to the
 identity.  The sheet graph is the derived graph of this voltage assignment
 (Gross & Tucker, Discrete Math. 18, 1977): build_sheet_graph reads it off
-per sheet, and lifted_components reads the component data off the classes
-alone, with no marked sheet listed.
+per sheet, through the coset tables the marking sweep builds, and
+lifted_components reads the component data off the classes alone, with no
+marked sheet listed.
 
 The three sheet permutations generate the monodromy group of the target
 map, whose orbits are the connected components of the space.  Per
@@ -35,8 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import attrgetter, getitem, itemgetter
+from operator import itemgetter
 
 from .marked import (
     HurwitzSpec,
@@ -62,9 +62,10 @@ from .perms import (
     orbits,
 )
 from .sheets import (
+    _sheets_of_unmarked_class,
     coordinate_reader,
+    # Not called: the benchmark's tracer wraps this name until ROADMAP item 1.
     enumerate_sheets,
-    fiber_coordinates,
     first_marking,
     label_stabilizer,
     marking_group_order,
@@ -205,27 +206,26 @@ def _check_full_twist(length: int, profile: Partition, boundary: str, spec: Hurw
 
 def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
     """Enumerate the sheets and the action of the three moves on them: the
-    derived graph of class_graph on the classes of the sheets.
+    derived graph of class_graph on the unmarked classes of the space.
 
-    A table from every element of G to the sheet whose coset holds it, per
-    class, reads the image g k H_U' of each sheet g H_U.  Raises
+    The marking sweep of each class U' tables every element of G to the
+    sheet over U' whose coset holds it; that table reads the image g k H_U'
+    of each sheet g H_U.  Raises as unmarked_classes does, and
     InvariantViolation where class_graph does.
     """
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
-    sheets = enumerate_sheets(spec)
-    stabilizers, target, voltage = class_graph(spec, tuple(dict.fromkeys(t.perms for t in sheets)))
+    classes = unmarked_classes(spec)
+    stabilizers, target, voltage = class_graph(spec, classes)
     # coordinates[u]: the coordinate of each sheet over class u; tables[u]:
     # every element of G to the index of the sheet over u whose coset holds it
-    coordinates, tables, n = [], [], 0
-    by_class = groupby(sheets, attrgetter("perms"))
-    for (perms, members), stabilizer in zip(by_class, stabilizers):
-        parts = fiber_coordinates(perms, spec)
-        coords = [tuple(chain.from_iterable(map(getitem, parts, t.labels))) for t in members]
-        getters = [itemgetter(*h) for h in stabilizer]
-        tables.append({get(g): n + k for k, g in enumerate(coords) for get in getters})
+    sheets, coordinates, tables = [], [], []
+    for perms, stabilizer in zip(classes, stabilizers):
+        swept, coords, table = _sheets_of_unmarked_class(perms, spec, stabilizer, len(sheets))
+        sheets += swept
         coordinates.append(coords)
-        n += len(coords)
+        tables.append(table)
+    sheets = tuple(sheets)
     maps = {}
     for b in BOUNDARY_LABELS:
         images = []

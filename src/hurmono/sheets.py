@@ -1,21 +1,23 @@
 """Sheet enumeration: one canonical marked tuple per simultaneous-conjugacy
 class compatible with a Hurwitz spec.
 
-unmarked_classes is the prefix scan.  It fixes sigma_1 to a single
-representative of its conjugacy class (every conjugacy class of tuples
-contains a tuple of that shape), takes one sigma_2 per Z(sigma_1)-orbit of its
-class (conjugating by the centralizer keeps sigma_1), iterates
-sigma_3..sigma_{m-1} over their conjugacy classes and forces sigma_m to close
-the product; candidates failing the last cycle type or the component-signature
-filter are dropped, and the rest are merged into their unmarked classes U.
+unmarked_classes is the prefix scan.  It fixes sigma_1 to the least member
+of its conjugacy class (every conjugacy class of tuples contains a tuple of
+that shape), takes one sigma_2 per Z(sigma_1)-orbit of its class (conjugating
+by the centralizer keeps sigma_1), iterates sigma_3..sigma_{m-1} over their
+conjugacy classes and forces sigma_m to close the product; candidates failing
+the last cycle type or the component-signature filter are dropped, and the
+rest are merged into their unmarked classes U.
 
 A marking of U is encoded by its coordinate in the marking group G (per
 fiber, the relabelings of equal-length cycles), which acts freely and
 transitively on the markings of U.  The sheets over U are therefore the
 cosets g H_U, H_U the image of Aut(U) in G (label_stabilizer), and
 count_sheets sums |G|/|H_U| without the sweep.  The sweep walks the
-coordinates of U in ascending order and marks the coset of each unseen one
-seen, so the coordinate it keeps is the least of its coset: a canonical sheet.
+coordinates of U in ascending order and enters the coset of each one not in
+its table yet, so the coordinate it keeps is the least of its coset: a
+canonical sheet.  The table, each g in G to its sheet's index, is the index
+moves.build_sheet_graph reads the moves through.
 
 Nothing sorts the sheets: the classes are swept in ascending order, tuple_key
 compares the permutations first, and ascending coordinates are ascending
@@ -33,6 +35,7 @@ from .marked import (
     HurwitzSpec,
     LabelVector,
     MarkedTuple,
+    _least_of_class,
     _unmarked_minimum,
     enumerate_markings,
     signature_of_perms,
@@ -43,7 +46,6 @@ from .marked import (
 from .perms import (
     Perm,
     TooLargeError,
-    centralizer,
     compose_all,
     conjugacy_class,
     conjugate,
@@ -74,13 +76,13 @@ def unmarked_classes(spec: HurwitzSpec) -> tuple[tuple[Perm, ...], ...]:
     check_fiber_count(spec.m)
     d = spec.d
     want = spec.signature
-    classes = [conjugacy_class(mu, d) for mu in spec.profiles]
+    classes = [conjugacy_class(mu, d) for mu in spec.profiles[:-1]]  # sigma_m is forced
     last_mu = spec.profiles[-1]
 
     seen_unmarked: set[tuple] = set()
-    first = classes[0][0]
-    seconds = _orbit_representatives(classes[1], centralizer(first))
-    for prefix in itertools.product((first,), seconds, *classes[2:-1]):
+    first, _, group = _least_of_class(spec.profiles[0], d)
+    seconds = _orbit_representatives(classes[1], group)
+    for prefix in itertools.product((first,), seconds, *classes[2:]):
         last = inverse(compose_all(prefix))
         if cycle_type(last) != last_mu:
             continue
@@ -100,7 +102,8 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
     """
     return tuple(
         itertools.chain.from_iterable(
-            _sheets_of_unmarked_class(perms, spec) for perms in unmarked_classes(spec)
+            _sheets_of_unmarked_class(perms, spec, label_stabilizer(perms), 0)[0]
+            for perms in unmarked_classes(spec)
         )
     )
 
@@ -116,27 +119,35 @@ def _orbit_representatives(cls, group) -> list:
     return reps
 
 
-def _sheets_of_unmarked_class(perms, spec: HurwitzSpec) -> list[MarkedTuple]:
-    """Canonical sheets whose permutation part is the (canonical) ``perms``.
+def _sheets_of_unmarked_class(perms, spec: HurwitzSpec, stabilizer, start: int):
+    """The canonical sheets over the (canonical) ``perms``, given H_U =
+    ``stabilizer``: (sheets, their coordinates, table).
 
-    Walks the coordinates of the markings in ascending order; each unseen
-    coordinate g is the least element of its coset g H_U, hence canonical,
-    and the whole coset is marked seen.
+    Walks the coordinates of the markings in ascending order; each one not in
+    the table yet is the least of its coset g H_U, hence canonical, and its
+    coset enters the table, every element mapped to one shared int: the
+    sheet's index, counted from ``start``.
     """
-    parts = fiber_coordinates(perms, spec)
-    markings = [{part: lab for lab, part in fiber.items()} for fiber in parts]
-    e = tuple(range(sum(map(len, spec.profiles))))
-    getters = [itemgetter(*h) for h in label_stabilizer(perms) if h != e]
-    out = []
-    seen: set[Perm] = set()
-    for coordinate_parts in itertools.product(*markings):
+    # per fiber i, each part of a coordinate to the marking of sigma_i it reads
+    parts, offset = [], -1
+    for p, mu in zip(perms, spec.profiles):
+        firsts = [cyc[0] for cyc in cycle_decomposition(p)]  # as marking_key reads them
+        markings = enumerate_markings(p, mu)
+        parts.append({tuple(offset + lab[x] for x in firsts): lab for lab in markings})
+        offset += len(mu)
+    getters = [itemgetter(*h) for h in stabilizer]
+    sheets, coordinates, table = [], [], {}
+    for coordinate_parts in itertools.product(*parts):
         g = tuple(itertools.chain.from_iterable(coordinate_parts))
-        if g in seen:
+        if g in table:
             continue
-        labels = tuple(map(getitem, markings, coordinate_parts))
-        out.append(MarkedTuple(perms=perms, labels=labels))
-        seen.update(get(g) for get in getters)
-    return out
+        n = start + len(sheets)
+        for get in getters:
+            table[get(g)] = n
+        labels = tuple(map(getitem, parts, coordinate_parts))
+        sheets.append(MarkedTuple(perms=perms, labels=labels))
+        coordinates.append(g)
+    return sheets, coordinates, table
 
 
 def marking_group_order(spec: HurwitzSpec) -> int:
@@ -178,18 +189,6 @@ def coordinate_reader(perms):
         base = len(starts) - 1
         starts += [(i, lab.index(j), base) for j in range(1, max(lab) + 1)]
     return lambda labels: tuple(base + labels[i][x] for i, x, base in starts)
-
-
-def fiber_coordinates(perms, spec: HurwitzSpec) -> list[dict[LabelVector, tuple[int, ...]]]:
-    """Per fiber i, each marking of sigma_i, ascending, to its part of the
-    coordinate; the parts of its fibers concatenate to a marking's coordinate."""
-    parts, offset = [], -1
-    for p, mu in zip(perms, spec.profiles):
-        firsts = [cyc[0] for cyc in cycle_decomposition(p)]  # as marking_key reads them
-        markings = enumerate_markings(p, mu)
-        parts.append({lab: tuple(offset + lab[x] for x in firsts) for lab in markings})
-        offset += len(mu)
-    return parts
 
 
 def label_stabilizer(perms) -> frozenset[Perm]:

@@ -393,19 +393,28 @@ def test_move_that_is_not_a_bijection_is_caught(monkeypatch):
         lifted_components(spec)
 
 
+def count_calls(monkeypatch, name, *modules):
+    """Record the first argument of every call of ``name`` through ``modules``."""
+    calls, fn = [], getattr(modules[0], name)
+    for module in modules:
+        monkeypatch.setattr(module, name, lambda x, *rest: calls.append(x) or fn(x, *rest))
+    return calls
+
+
 def test_lift_lists_no_marking_and_report_scans_once(monkeypatch):
     # the lift works per class, so its cost does not grow with |G|; the
-    # sheet graph takes its classes from the swept sheets, not a second scan
+    # sheet graph scans once and builds H_U and the fiber parts once per class
     spec = make_spec("1,1,1,1", "0,0,0,0", "1,1,1,1^4")  # |G| = 24^4
     with monkeypatch.context() as patch:
         patch.setattr(sheets, "enumerate_markings", None)
         assert [(c.copies, c.degree) for c in lifted_components(spec)] == [(13824, 1)]
-    spec = make_spec("4", "1", "2,2^4")
-    scans = []
-    unmarked = sheets.unmarked_classes
-    monkeypatch.setattr(sheets, "unmarked_classes", lambda s: scans.append(s) or unmarked(s))
+    spec = make_spec("4", "1", "2,2^4")  # 3 classes of 4 fibers
+    scans = count_calls(monkeypatch, "unmarked_classes", moves, sheets)
+    stabilizers = count_calls(monkeypatch, "label_stabilizer", moves, sheets)
+    markings = count_calls(monkeypatch, "enumerate_markings", sheets)
     assert len(build_sheet_graph(spec).sheets) == 12
     assert scans == [spec]
+    assert (len(stabilizers), len(markings)) == (3, 12)
 
 
 def test_lifted_full_twist_invariant_is_checked(monkeypatch):

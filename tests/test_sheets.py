@@ -18,7 +18,13 @@ from hurmono import (
     tuple_key,
     validate_marked_tuple,
 )
-from hurmono.marked import _unmarked_minimum, markings_key, signature_of_perms, transport_labels
+from hurmono.marked import (
+    _least_of_class,
+    _unmarked_minimum,
+    markings_key,
+    signature_of_perms,
+    transport_labels,
+)
 from hurmono.perms import (
     MAX_DEGREE,
     all_perms,
@@ -201,6 +207,16 @@ def test_count_sheets_matches_enumeration_on_golden():
         assert count_sheets(row.spec) == len(enumerate_sheets(row.spec)), row.spec
 
 
+def test_scan_fixes_sigma_1_to_the_least_of_its_class():
+    # the scan takes sigma_1 and Z(sigma_1) from the per-cycle-type cache
+    for row in default_rows():
+        mu, d = row.spec.profiles[0], row.spec.d
+        least, _, group = _least_of_class(mu, d)
+        assert least == conjugacy_class(mu, d)[0]
+        assert group == centralizer(least)
+        assert all(u[0] == least for u in unmarked_classes(row.spec))
+
+
 def test_base_marking_is_the_first_marking():
     spec = make_spec("4", "1", "2,2^4")
     for perms in unmarked_classes(spec):
@@ -262,12 +278,17 @@ def test_marking_coordinates(case):
     stabilizer = label_stabilizer(perms)
     assert stabilizer == {read(transport_labels(w, first)) for w in aut}
     # each swept sheet's coordinate is the least element of its coset, and
-    # the cosets of the sheets partition G
+    # the cosets of the sheets partition G; the table sends every element of
+    # G to the index, counted from start, of the sheet whose coset holds it
+    start = 5
+    swept, coordinates, table = _sheets_of_unmarked_class(perms, spec, stabilizer, start)
+    assert coordinates == [read(t.labels) for t in swept]
+    assert table.keys() == group
     covered = []
-    for t in _sheets_of_unmarked_class(perms, spec):
-        g = read(t.labels)
+    for n, g in enumerate(coordinates, start=start):
         coset = {compose(g, h) for h in stabilizer}
         assert g == min(coset)
+        assert all(table[x] == n for x in coset)
         covered += coset
     assert sorted(covered) == sorted(group)
 
