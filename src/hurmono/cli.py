@@ -142,22 +142,6 @@ def _report_json(graph, reports) -> dict:
     }
 
 
-def report_from_json_obj(obj) -> tuple[ComponentReport, ...]:
-    """Rebuild ComponentReport values from a parsed JSON report."""
-    out = []
-    for c in obj["components"]:
-        out.append(
-            ComponentReport(
-                sheet_indices=tuple(k - 1 for k in c["sheets"]),
-                degree=c["degree"],
-                genus=c["genus"],
-                ram={b: tuple(c["ram"][b]) for b in BOUNDARY_LABELS},
-                nodes={b: tuple(tuple(mu) for mu in c["nodes"][b]) for b in BOUNDARY_LABELS},
-            )
-        )
-    return tuple(out)
-
-
 def cmd_report(args) -> int:
     spec = _spec_from_args(args)
     graph = build_sheet_graph(spec)

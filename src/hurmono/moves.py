@@ -21,14 +21,15 @@ each move once per class, on the first marking, and checks that the moves
 permute the sheets and that zero, then one, then infty compose to the
 identity.  The sheet graph is the derived graph of this voltage assignment
 (Gross & Tucker, Discrete Math. 18, 1977): build_sheet_graph reads it off
-per sheet, through the coset tables the marking sweep builds, and
-lifted_components reads the component data off the classes alone, with no
-marked sheet listed.
+per sheet, through the coset tables the marking sweep builds.
 
 The three sheet permutations generate the monodromy group of the target
-map, whose orbits are the connected components of the space.  Per
-component, Riemann-Hurwitz over the genus-0 moduli of 4-marked targets gives
-the component genus from the three ramification partitions.
+map, whose orbits are the connected components of the space.  _lift, the
+one computation of their data, reads each component's degree, ramification
+and node profiles off the class graph alone, with no marked sheet listed,
+and Riemann-Hurwitz over the genus-0 moduli of 4-marked targets gives its
+genus.  lifted_components returns that data per unmarked component;
+components gives it to the orbits of the sheet permutations.
 """
 
 from __future__ import annotations
@@ -128,13 +129,29 @@ MOVES = {b: _braid_move(WORDS[b]) for b in BOUNDARY_LABELS}
 
 
 @dataclass(frozen=True)
+class LiftedComponent:
+    """The ``copies`` marked components over one unmarked component, whose
+    canonical classes are ``classes``: G-translates of one another, each with
+    this degree, genus, ram and nodes (keyed by BOUNDARY_LABELS)."""
+
+    classes: tuple[tuple[Perm, ...], ...]
+    copies: int
+    degree: int
+    genus: int
+    ram: Mapping[str, Partition]
+    nodes: Mapping[str, tuple[Partition, ...]]
+
+
+@dataclass(frozen=True)
 class SheetGraph:
     """Canonical sheets plus the three induced permutations of their indices,
-    keyed by BOUNDARY_LABELS."""
+    keyed by BOUNDARY_LABELS, and ``lifted``, the space's lifted_components
+    computed from the same class graph."""
 
     spec: HurwitzSpec
     sheets: tuple[MarkedTuple, ...]
     s: Mapping[str, tuple[int, ...]]
+    lifted: tuple[LiftedComponent, ...]
 
 
 @dataclass(frozen=True)
@@ -195,28 +212,21 @@ def class_graph(spec: HurwitzSpec, classes):
     return stabilizers, target, voltage
 
 
-def _check_full_twist(length: int, profile: Partition, boundary: str, spec: HurwitzSpec) -> None:
-    # the move around b conjugates the colliding pair by the node product at b
-    if math.lcm(*profile) % length:
-        raise InvariantViolation(
-            f"a cycle of length {length} of the move around {boundary} does not "
-            f"divide the order of its node product {profile} on {spec}"
-        )
-
-
 def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
     """Enumerate the sheets and the action of the three moves on them: the
-    derived graph of class_graph on the unmarked classes of the space.
+    derived graph of class_graph on the unmarked classes of the space, with
+    the lift of its components (``lifted``).
 
     The marking sweep of each class U' tables every element of G to the
     sheet over U' whose coset holds it; that table reads the image g k H_U'
     of each sheet g H_U.  Raises as unmarked_classes does, and
-    InvariantViolation where class_graph does.
+    InvariantViolation where class_graph and lifted_components do.
     """
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
     classes = unmarked_classes(spec)
     stabilizers, target, voltage = class_graph(spec, classes)
+    lifted = _lift(spec, classes, stabilizers, target, voltage)
     # coordinates[u]: the coordinate of each sheet over class u; tables[u]:
     # every element of G to the index of the sheet over u whose coset holds it
     sheets, coordinates, tables = [], [], []
@@ -233,82 +243,31 @@ def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
             get, table = itemgetter(*k), tables[v]
             images += [table[get(g)] for g in coords]
         maps[b] = tuple(images)
-    return SheetGraph(spec=spec, sheets=sheets, s=maps)
+    return SheetGraph(spec=spec, sheets=sheets, s=maps, lifted=lifted)
 
 
 def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     """Connected components with target-map degree, ramification, and genus.
 
-    Per component of the group generated by the three sheet permutations:
-    degree is the orbit size, ram over each boundary is the cycle type of the
-    restricted permutation, the genus is riemann_hurwitz_genus of the degree
-    and the sum over boundaries of sum of (part - 1), and the node profiles
-    collect cycle_type(node_product(., b)) for one sheet per cycle of s[b]
-    (the move around b fixes the node product at b).
-    Sorted by (degree, genus, ram) for reproducibility.
-
-    Raises InvariantViolation when a cycle of s[b] has a length that does not
-    divide the order of its node product: the move around b conjugates the
-    colliding pair by that product, so that power of s[b] is the identity.
+    The components are the orbits of the group generated by the three sheet
+    permutations; each takes its degree, genus, ram and nodes from the
+    LiftedComponent of ``graph.lifted`` that holds the class of its first
+    sheet (every marked component over one unmarked component carries the
+    same data).  Sorted by (degree, genus, ram, sheet indices) for
+    reproducibility.  The checks are build_sheet_graph's; a hand-built graph
+    is not checked again.
     """
-    n = len(graph.sheets)
-    if n == 0:
-        return ()
-    comps = orbits([graph.s[b] for b in BOUNDARY_LABELS], n)
-    comp_of = [0] * n
-    for k, orbit in enumerate(comps):
-        for x in orbit:
-            comp_of[x] = k
-    # The node product depends on the permutations only: one profile per
-    # (unmarked class, boundary).
-    profiles: dict[tuple, Partition] = {}
-    # cycles[b][k]: (length, node profile) per cycle of s[b] inside component
-    # k, in canonical order
-    cycles = {b: [[] for _ in comps] for b in BOUNDARY_LABELS}
-    for b in BOUNDARY_LABELS:
-        for c in cycle_decomposition(graph.s[b]):
-            t = graph.sheets[c[0]]
-            if (t.perms, b) not in profiles:
-                profiles[t.perms, b] = cycle_type(node_product(t, b))
-            profile = profiles[t.perms, b]
-            _check_full_twist(len(c), profile, b, graph.spec)
-            cycles[b][comp_of[c[0]]].append((len(c), profile))
+    lifted = {u: c for c in graph.lifted for u in c.classes}
     reports = []
-    for k, orbit in enumerate(comps):
-        degree = len(orbit)
-        total_ram = sum(length - 1 for b in BOUNDARY_LABELS for length, _ in cycles[b][k])
-        reports.append(
-            ComponentReport(
-                sheet_indices=orbit,
-                degree=degree,
-                genus=riemann_hurwitz_genus(degree, total_ram, "component"),
-                ram={b: tuple([length for length, _ in cycles[b][k]]) for b in BOUNDARY_LABELS},
-                nodes={
-                    b: tuple(sorted((profile for _, profile in cycles[b][k]), reverse=True))
-                    for b in BOUNDARY_LABELS
-                },
-            )
-        )
+    for orbit in orbits([graph.s[b] for b in BOUNDARY_LABELS], len(graph.sheets)):
+        c = lifted[graph.sheets[orbit[0]].perms]
+        reports.append(ComponentReport(orbit, c.degree, c.genus, c.ram, c.nodes))
     reports.sort(
         key=lambda r: (
             r.degree, r.genus, *(r.ram[b] for b in BOUNDARY_LABELS), r.sheet_indices
         )
     )
     return tuple(reports)
-
-
-@dataclass(frozen=True)
-class LiftedComponent:
-    """The ``copies`` marked components over one unmarked component, whose
-    canonical classes are ``classes``: G-translates of one another, each with
-    this degree, genus, ram and nodes (keyed by BOUNDARY_LABELS)."""
-
-    classes: tuple[tuple[Perm, ...], ...]
-    copies: int
-    degree: int
-    genus: int
-    ram: Mapping[str, Partition]
-    nodes: Mapping[str, tuple[Partition, ...]]
 
 
 def check_unmarked_image(degree: int, genus: int, base_degree: int, base_genus: int) -> None:
@@ -324,8 +283,8 @@ def check_unmarked_image(degree: int, genus: int, base_degree: int, base_genus: 
 
 
 def lifted_components(spec: HurwitzSpec) -> tuple[LiftedComponent, ...]:
-    """The components of components(build_sheet_graph(spec)), from the
-    unmarked classes alone, grouped by the unmarked component they cover.
+    """The marked components of the space, from the unmarked classes alone,
+    grouped by the unmarked component they cover.
 
     The sheets over a class U are the cosets G/H_U, and the marked sheet
     graph is the derived graph of class_graph's voltage assignment, the
@@ -336,15 +295,21 @@ def lifted_components(spec: HurwitzSpec) -> tuple[LiftedComponent, ...]:
     |Gamma_C|/(|H_U| r) cycles of length l r per marked component, r >= 1
     least with q^r in H_U.
 
-    Raises InvariantViolation where class_graph does, where components does
-    (restated on the lifted cycles), and where check_unmarked_image does.
+    Raises InvariantViolation where class_graph does; when a lifted cycle of
+    the move around b has a length that does not divide the order of its node
+    product (the move conjugates the colliding pair by that product, so that
+    power of the move fixes every sheet); and where check_unmarked_image does.
     """
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
     classes = unmarked_classes(spec)
+    return _lift(spec, classes, *class_graph(spec, classes))
+
+
+def _lift(spec: HurwitzSpec, classes, stabs, target, voltage) -> tuple[LiftedComponent, ...]:
+    """lifted_components from class_graph(spec, classes)."""
     if not classes:
         return ()
-    stabs, target, voltage = class_graph(spec, classes)
     e = tuple(range(sum(map(len, spec.profiles))))  # on the label points
     comps = orbits(list(target.values()), len(classes))
     comp_of = {u: c for c, comp in enumerate(comps) for u in comp}
@@ -375,10 +340,15 @@ def lifted_components(spec: HurwitzSpec) -> tuple[LiftedComponent, ...]:
             power, r = q, 1
             while power not in stabs[u]:
                 power, r = compose(power, q), r + 1
+            length = len(cycle) * r
             profile = cycle_type(node_product(MarkedTuple(perms=classes[u], labels=()), b))
-            _check_full_twist(len(cycle) * r, profile, b, spec)
+            if math.lcm(*profile) % length:
+                raise InvariantViolation(
+                    f"a cycle of length {length} of the move around {b} does not "
+                    f"divide the order of its node product {profile} on {spec}"
+                )
             lifts = gamma // (len(stabs[u]) * r)
-            ram[b] += [len(cycle) * r] * lifts
+            ram[b] += [length] * lifts
             nodes[b] += [profile] * lifts
         degree = sum(gamma // len(stabs[u]) for u in comp)
         total_ram = sum(length - 1 for b in BOUNDARY_LABELS for length in ram[b])

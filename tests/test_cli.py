@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from hurmono import (
+    BOUNDARY_LABELS,
+    ComponentReport,
     build_sheet_graph,
     components,
     count_sheets,
@@ -16,7 +18,7 @@ from hurmono import (
     make_spec,
     partition_str,
 )
-from hurmono.cli import main, report_from_json_obj
+from hurmono.cli import main
 
 
 def run_cli(*args, check=False):
@@ -125,6 +127,22 @@ def test_report_verbose_lists_sheet_permutations():
     assert "  sheets: 1" in proc.stdout
     assert "  s zero=() one=() infty=()" in proc.stdout
     assert "s_zero*s_one*s_infty is identity: yes" in proc.stdout
+
+
+def report_from_json_obj(obj) -> tuple[ComponentReport, ...]:
+    """Rebuild ComponentReport values from a parsed JSON report."""
+    out = []
+    for c in obj["components"]:
+        out.append(
+            ComponentReport(
+                sheet_indices=tuple(k - 1 for k in c["sheets"]),
+                degree=c["degree"],
+                genus=c["genus"],
+                ram={b: tuple(c["ram"][b]) for b in BOUNDARY_LABELS},
+                nodes={b: tuple(tuple(mu) for mu in c["nodes"][b]) for b in BOUNDARY_LABELS},
+            )
+        )
+    return tuple(out)
 
 
 def test_report_json_round_trips():

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import random
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import o_conjugate, o_move_conjugators, o_relabel
+from sheet_walk import walk_components
 
 from hurmono import (
     BOUNDARY_LABELS,
     MOVES,
     InvariantViolation,
     MarkedTuple,
-    SheetGraph,
     SpecError,
     build_sheet_graph,
     canonicalize,
@@ -295,11 +296,11 @@ def test_full_twist_invariant_is_checked():
     graph = build_sheet_graph(make_spec("2,1", "0,0", "2,1;2,1;1,1,1;1,1,1"))
     assert all(cycle_type(node_product(t, "infty")) == (1, 1, 1) for t in graph.sheets)
     assert graph.s["infty"] == tuple(range(len(graph.sheets)))
-    components(graph)
+    walk_components(graph)
     swapped = (1, 0, *graph.s["infty"][2:])
-    broken = SheetGraph(spec=graph.spec, sheets=graph.sheets, s={**graph.s, "infty": swapped})
+    broken = dataclasses.replace(graph, s={**graph.s, "infty": swapped})
     with pytest.raises(InvariantViolation, match="does not divide the order"):
-        components(broken)
+        walk_components(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +319,11 @@ def component_data(r):
 
 @pytest.mark.parametrize("spec", LIFT_SPECS, ids=spec_line)
 def test_lift_matches_marked_graph(spec):
+    # the lift against the per-sheet walk; components reads its data off the
+    # lift, so it must also equal the walk exactly, sheet indices and order
     lifted = lifted_components(spec)
-    reports = components(marked_graph(spec))
+    reports = walk_components(marked_graph(spec))
+    assert components(marked_graph(spec)) == reports
     assert component_multiset(lifted) == component_multiset(reports)
     assert sum(c.copies * c.degree for c in lifted) == len(marked_graph(spec).sheets)
     expected = collections.Counter(component_data(r) for r in reports)
@@ -337,7 +341,7 @@ def test_marked_components_are_identical_copies(spec):
     lifted = lifted_components(spec)
     home = {u: k for k, c in enumerate(lifted) for u in c.classes}
     over = [[] for _ in lifted]
-    for r in components(graph):
+    for r in walk_components(graph):
         over[home[graph.sheets[r.sheet_indices[0]].perms]].append(r)
     for c, reports in zip(lifted, over):
         assert len(reports) == c.copies
@@ -410,19 +414,28 @@ def test_lift_lists_no_marking_and_report_scans_once(monkeypatch):
         assert [(c.copies, c.degree) for c in lifted_components(spec)] == [(13824, 1)]
     spec = make_spec("4", "1", "2,2^4")  # 3 classes of 4 fibers
     scans = count_calls(monkeypatch, "unmarked_classes", moves, sheets)
+    graphs = count_calls(monkeypatch, "class_graph", moves)
     stabilizers = count_calls(monkeypatch, "label_stabilizer", moves, sheets)
     markings = count_calls(monkeypatch, "enumerate_markings", sheets)
     assert len(build_sheet_graph(spec).sheets) == 12
-    assert scans == [spec]
+    assert scans == graphs == [spec]
     assert (len(stabilizers), len(markings)) == (3, 12)
+    # the components of the report come from that one scan and class graph
+    scans.clear()
+    graphs.clear()
+    assert sum(r.degree for r in components(build_sheet_graph(spec))) == 12
+    assert scans == graphs == [spec]
 
 
 def test_lifted_full_twist_invariant_is_checked(monkeypatch):
     # with every node product the identity, the lifted cycles of length 2 and
     # more cannot divide its order
     monkeypatch.setattr(moves, "node_product", lambda t, b: identity(t.degree))
+    spec = make_spec("4", "2", "4;4;3,1;3,1")
     with pytest.raises(InvariantViolation, match="does not divide the order"):
-        lifted_components(make_spec("4", "2", "4;4;3,1;3,1"))
+        lifted_components(spec)
+    with pytest.raises(InvariantViolation, match="does not divide the order"):
+        build_sheet_graph(spec)
 
 
 def test_unmarked_image_check():
