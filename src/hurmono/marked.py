@@ -322,6 +322,50 @@ def signature_of_perms(perms: tuple[Perm, ...], d: int) -> tuple[tuple[int, int]
     return tuple(sorted(sig))
 
 
+def splits_among_components(spec: HurwitzSpec) -> bool:
+    """Whether every profile mu_i splits into sub-partitions nu_{i,l} of d_l,
+    one per source component (d_l, g_l), such that each component satisfies
+    Riemann-Hurwitz: sum_i (d_l - len(nu_{i,l})) = 2 d_l + 2 g_l - 2.
+
+    The cycles of sigma_i inside each orbit of a tuple of the space make such
+    a split, so False proves the space empty.  The converse fails: at d = 4,
+    ``4 / 1 / 3,1;2,2;2,2;2,2`` splits and is empty.
+
+    >>> splits_among_components(HurwitzSpec((6, 1), (6, 0), ((3, 3, 1), (7,), (7,), (7,))))
+    False
+    >>> splits_among_components(HurwitzSpec((4,), (1,), ((2, 2),) * 4))
+    True
+    """
+    return _splits(tuple(sorted(spec.profiles)), spec.signature)
+
+
+@lru_cache(maxsize=4096)
+def _splits(profiles: tuple[Partition, ...], components: tuple[tuple[int, int], ...]) -> bool:
+    """splits_among_components for the (sorted) ``profiles`` and ``components``."""
+    (n, g), rest = components[0], components[1:]
+    ram = 2 * n + 2 * g - 2
+    if not rest:  # the last component takes what is left
+        return sum(n - len(mu) for mu in profiles) == ram
+    for choice in itertools.product(*(_sub_partitions(mu, n) for mu in profiles)):
+        if sum(n - k for k, _ in choice) == ram and _splits(
+            tuple(sorted(left for _, left in choice)), rest
+        ):
+            return True
+    return False
+
+
+@lru_cache(maxsize=4096)
+def _sub_partitions(mu: Partition, n: int) -> tuple[tuple[int, Partition], ...]:
+    """(len(nu), mu minus nu) for each sub-multiset nu of mu of weight n."""
+    runs = [(part, len(list(run))) for part, run in itertools.groupby(mu)]
+    out = []
+    for counts in itertools.product(*(range(k + 1) for _, k in runs)):
+        if sum(part * c for (part, _), c in zip(runs, counts)) == n:
+            left = (part for (part, k), c in zip(runs, counts) for _ in range(k - c))
+            out.append((sum(counts), tuple(left)))
+    return tuple(out)
+
+
 def component_signature(t: MarkedTuple) -> tuple[tuple[int, int], ...]:
     """Signature of a marked tuple's permutation part; see signature_of_perms."""
     return signature_of_perms(t.perms, t.degree)

@@ -25,8 +25,10 @@ orbits are sorted inside and listed by minimum.
 MAX_DEGREE = 9 is the package's one degree guard, and ``check_degree`` is its
 one comparison: it raises TooLargeError above the bound and DegreeError below
 1.  Every scan over S_d (conjugacy classes, centralizers) starts in
-``all_perms``, so each meets that guard; the canonical forms of
-``hurmono.marked`` scan one coset of a centralizer built by those scans.
+``all_perms``, which calls it; the canonical forms of ``hurmono.marked`` scan
+one coset of a centralizer built by those scans.  ``sheets.unmarked_classes``
+calls it too, before its emptiness pre-check, so a space over the guard is
+refused even when it is provably empty and no scan runs.
 """
 
 from __future__ import annotations

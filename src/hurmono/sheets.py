@@ -1,13 +1,17 @@
 """Sheet enumeration: one canonical marked tuple per simultaneous-conjugacy
 class compatible with a Hurwitz spec.
 
-unmarked_classes is the prefix scan.  It fixes sigma_1 to the least member
-of its conjugacy class (every conjugacy class of tuples contains a tuple of
-that shape), takes one sigma_2 per Z(sigma_1)-orbit of its class (conjugating
-by the centralizer keeps sigma_1), iterates sigma_3..sigma_{m-1} over their
-conjugacy classes and forces sigma_m to close the product; candidates failing
-the last cycle type or the component-signature filter are dropped, and the
-rest are merged into their unmarked classes U.
+unmarked_classes is the prefix scan.  Before it, splits_among_components
+checks that each profile splits among the source components with
+Riemann-Hurwitz holding on each.  Every tuple of the space makes such a
+split, so a rejection proves the space empty, and unmarked_classes returns ()
+without building a conjugacy class.  The scan fixes sigma_1 to the least
+member of its conjugacy class (every conjugacy class of tuples contains a
+tuple of that shape), takes one sigma_2 per Z(sigma_1)-orbit of its class
+(conjugating by the centralizer keeps sigma_1), iterates sigma_3..sigma_{m-1}
+over their conjugacy classes and forces sigma_m to close the product;
+candidates failing the last cycle type or the component-signature filter are
+dropped, and the rest are merged into their unmarked classes U.
 
 A marking of U is encoded by its coordinate in the marking group G (per
 fiber, the relabelings of equal-length cycles), which acts freely and
@@ -39,6 +43,7 @@ from .marked import (
     _unmarked_minimum,
     enumerate_markings,
     signature_of_perms,
+    splits_among_components,
     transport_labels,
     # Not called: the benchmark's tracer wraps this name until ROADMAP item 1.
     tuple_key,
@@ -46,6 +51,7 @@ from .marked import (
 from .perms import (
     Perm,
     TooLargeError,
+    check_degree,
     compose_all,
     conjugacy_class,
     conjugate,
@@ -69,12 +75,16 @@ def unmarked_classes(spec: HurwitzSpec) -> tuple[tuple[Perm, ...], ...]:
 
     One per simultaneous-conjugacy class of tuples with cycle_type(sigma_i) =
     mu_i, identity product, and component signature equal to the spec's
-    {(d_l, g_l)}.  May be empty.  sigma_1 is fixed and sigma_2 runs over
-    Z(sigma_1)-orbit representatives only.  Raises TooLargeError for
-    m > MAX_ENUM_FIBERS, then, from the class scans, for d > MAX_DEGREE.
+    {(d_l, g_l)}.  May be empty.  Raises TooLargeError for m > MAX_ENUM_FIBERS,
+    then for d > MAX_DEGREE, empty spaces included.  Then, if
+    splits_among_components(spec) is False, which proves the space empty, it
+    returns () before any class is built.  Otherwise sigma_1 is fixed and
+    sigma_2 runs over Z(sigma_1)-orbit representatives only.
     """
     check_fiber_count(spec.m)
-    d = spec.d
+    d = check_degree(spec.d)
+    if not splits_among_components(spec):
+        return ()
     want = spec.signature
     classes = [conjugacy_class(mu, d) for mu in spec.profiles[:-1]]  # sigma_m is forced
     last_mu = spec.profiles[-1]

@@ -356,6 +356,13 @@ def test_guard_exit_code():
     assert proc.stderr == "error: instance too large: degree must be at most 9, got 10\n"
 
 
+def test_guard_exit_code_on_a_provably_empty_space():
+    # no genus-0 cover has four 10-cycles; the degree guard still comes first
+    proc = run_cli("report", "--degrees", "10", "--genera", "0", "--profiles", "10;10;10;10")
+    assert proc.returncode == 3
+    assert proc.stderr == "error: instance too large: degree must be at most 9, got 10\n"
+
+
 def test_huge_profile_repetition_refused_before_expansion():
     # the fibers are counted before ``^k`` is expanded, so this fails fast
     args = ("sheets", "--degrees", "2", "--genera", "0", "--profiles", "2^1000000000")

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle import all_partitions, oracle_sheets
+from oracle import all_partitions, o_marked_tuples, oracle_sheets
 
 from hurmono import (
     HurwitzSpec,
@@ -14,7 +14,9 @@ from hurmono import (
     default_rows,
     enumerate_markings,
     enumerate_sheets,
+    lifted_components,
     make_spec,
+    partition_str,
     tuple_key,
     validate_marked_tuple,
 )
@@ -23,6 +25,7 @@ from hurmono.marked import (
     _unmarked_minimum,
     markings_key,
     signature_of_perms,
+    splits_among_components,
     transport_labels,
 )
 from hurmono.perms import (
@@ -310,3 +313,113 @@ def test_fiber_guard():
     big = (1,) * (MAX_DEGREE + 1)
     with pytest.raises(TooLargeError, match="m <= 6, got 7"):
         enumerate_sheets(HurwitzSpec(degrees=(MAX_DEGREE + 1,), genera=(0,), profiles=(big,) * 7))
+
+
+def test_guards_precede_the_emptiness_pre_check():
+    # provably empty spaces over a guard still raise: no genus-0 cover has
+    # four 10-cycles, and seven transpositions have odd total ramification
+    big = make_spec("10", "0", "10;10;10;10")
+    assert not splits_among_components(big)
+    for call in (count_sheets, lifted_components, unmarked_classes):
+        with pytest.raises(TooLargeError, match="degree must be at most 9, got 10"):
+            call(big)
+    many = HurwitzSpec(degrees=(2,), genera=(0,), profiles=((2,),) * 7)
+    assert not splits_among_components(many)
+    for call in (count_sheets, enumerate_sheets, unmarked_classes):
+        with pytest.raises(TooLargeError, match="m <= 6, got 7"):
+            call(many)
+
+
+def test_rejected_space_builds_no_class():
+    # a 7-cycle cannot be split between components of degree 6 and 1, so
+    # the scan, and the d! class generation behind it, never starts
+    spec = make_spec("6,1", "6,0", "3,3,1;7;7;7")
+    before = conjugacy_class.cache_info(), _least_of_class.cache_info()
+    assert unmarked_classes(spec) == ()
+    assert (conjugacy_class.cache_info(), _least_of_class.cache_info()) == before
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda d: st.lists(st.permutations(list(range(d))).map(tuple), min_size=3, max_size=3)
+    )
+)
+def test_pre_check_accepts_every_tuple(prefix):
+    # sound: the space of any tuple splits among its own orbits
+    perms = (*prefix, inverse(compose_all(prefix)))
+    d = len(perms[0])
+    spec = spec_for(signature_of_perms(perms, d), tuple(cycle_type(p) for p in perms))
+    assert splits_among_components(spec)
+
+
+def signatures(d):
+    """Every multiset of source components (n, g) with sum n = d and g < n;
+    four fibers ramify at most 4(n - 1), so no component of genus n or more
+    satisfies Riemann-Hurwitz."""
+    kinds = [(n, g) for n in range(1, d + 1) for g in range(n)]
+    return [
+        sig
+        for k in range(1, d + 1)
+        for sig in itertools.combinations_with_replacement(kinds, k)
+        if sum(n for n, _ in sig) == d
+    ]
+
+
+def realized_signatures(profiles):
+    """The signatures of the tuples with these profiles: sigma_1 fixed to the
+    least of its class, sigma_2 and sigma_3 over their classes, sigma_4 forced."""
+    d = sum(profiles[0])
+    first = conjugacy_class(profiles[0], d)[0]
+    out = set()
+    for second, third in itertools.product(*(conjugacy_class(mu, d) for mu in profiles[1:3])):
+        last = inverse(compose_all((first, second, third)))
+        if cycle_type(last) == profiles[3]:
+            out.add(signature_of_perms((first, second, third, last), d))
+    return out
+
+
+def test_pre_check_census_up_to_degree_five():
+    # every unordered 4-tuple of profiles with every signature: the pre-check
+    # rejects no nonempty space, and accepts only two empty ones at d = 4,
+    # and the same two plus a fixed point at d = 5
+    accepted, nonempty, exceptions = {}, {}, []
+    for d in (3, 4, 5):
+        sigs = signatures(d)
+        for profiles in itertools.combinations_with_replacement(all_partitions(d), 4):
+            realized = realized_signatures(profiles)
+            assert realized <= set(sigs)
+            for sig in sigs:
+                spec = spec_for(sig, profiles)
+                ok = splits_among_components(spec)
+                assert ok or sig not in realized, (sig, profiles)
+                accepted[d] = accepted.get(d, 0) + ok
+                nonempty[d] = nonempty.get(d, 0) + (sig in realized)
+                if ok and sig not in realized:
+                    exceptions.append(
+                        " / ".join(
+                            [
+                                ",".join(map(str, spec.degrees)),
+                                ",".join(map(str, spec.genera)),
+                                ";".join(map(partition_str, profiles)),
+                            ]
+                        )
+                    )
+    assert accepted == {3: 9, 4: 41, 5: 139}
+    assert nonempty == {3: 9, 4: 39, 5: 137}
+    assert sorted(exceptions) == [
+        "4 / 0 / 3,1;2,2;2,2;1,1,1,1",
+        "4 / 1 / 3,1;2,2;2,2;2,2",
+        "4,1 / 0,0 / 3,1,1;2,2,1;2,2,1;1,1,1,1,1",
+        "4,1 / 1,0 / 3,1,1;2,2,1;2,2,1;2,2,1",
+    ]
+
+
+def test_pre_check_rejects_only_empty_spaces_by_oracle():
+    # at d = 3 the brute-force oracle, which shares no code with the package,
+    # lists the signatures every tuple realizes
+    for profiles in itertools.combinations_with_replacement(all_partitions(3), 4):
+        realized = {sig for sig, _, _ in o_marked_tuples(3, profiles)}
+        for sig in signatures(3):
+            if not splits_among_components(spec_for(sig, profiles)):
+                assert sig not in realized, (sig, profiles)
