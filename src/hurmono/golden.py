@@ -19,8 +19,8 @@ multiset of (component count, genus, target-map degree) triples exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .marked import HurwitzSpec, SpecError
 # build_sheet_graph and components are not called here: the benchmark's tracer
@@ -43,8 +43,7 @@ class GoldenParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(NamedTuple):
     spec: HurwitzSpec
     expected: tuple[ExpectTriple, ...]
     line_no: int = 0
@@ -55,16 +54,14 @@ class GoldenRow:
         return all(deg is not None for _, _, deg in self.expected)
 
 
-@dataclass(frozen=True)
-class RowVerdict:
+class RowVerdict(NamedTuple):
     row: GoldenRow
     computed: tuple[tuple[int, int, int], ...]
     sheet_count: int
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerifySummary:
+class VerifySummary(NamedTuple):
     verdicts: tuple[RowVerdict, ...]
 
     @property

@@ -20,8 +20,8 @@ order, so equality of canonical forms decides equivalence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .perms import (
     Cycle,
@@ -51,8 +51,7 @@ class InvariantViolation(RuntimeError):
 LabelVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MarkedTuple:
+class MarkedTuple(NamedTuple):
     """Permutations (sigma_1..sigma_m) with one point-label vector per fiber."""
 
     perms: tuple[Perm, ...]
@@ -67,45 +66,49 @@ class MarkedTuple:
         return len(self.perms)
 
 
-@dataclass(frozen=True)
-class HurwitzSpec:
+class _SpecFields(NamedTuple):
+    degrees: tuple[int, ...]
+    genera: tuple[int, ...]
+    profiles: tuple[Partition, ...]
+
+
+class HurwitzSpec(_SpecFields):
     """A Hurwitz space of fully-marked covers: (degrees, genera, profiles).
 
     ``degrees`` and ``genera`` pair up componentwise (degree d_l, genus g_l of
     the l-th source component); the pairs are normalized to nonincreasing
     order since no output distinguishes source components beyond the multiset
     {(d_l, g_l)}.  ``profiles`` are the m ramification profiles mu_i, each a
-    partition of d = sum(degrees).
+    partition of d = sum(degrees).  Every construction validates and
+    normalizes, ``_replace``, ``_make``, copy and pickle included.
     """
 
-    degrees: tuple[int, ...]
-    genera: tuple[int, ...]
-    profiles: tuple[Partition, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.degrees or any(not isinstance(x, int) or x < 1 for x in self.degrees):
-            raise SpecError(f"degrees must be positive integers, got {self.degrees}")
-        if len(self.genera) != len(self.degrees):
-            raise SpecError(
-                f"genera length {len(self.genera)} != degrees length {len(self.degrees)}"
-            )
-        if any(not isinstance(g, int) or g < 0 for g in self.genera):
-            raise SpecError(f"genera must be nonnegative integers, got {self.genera}")
-        pairs = sorted(zip(self.degrees, self.genera), reverse=True)
-        object.__setattr__(self, "degrees", tuple(p[0] for p in pairs))
-        object.__setattr__(self, "genera", tuple(p[1] for p in pairs))
-        if len(self.profiles) < 3:
-            raise SpecError(f"need at least 3 marked fibers, got {len(self.profiles)}")
-        d = self.d
+    def __new__(cls, degrees, genera, profiles):
+        if not degrees or any(not isinstance(x, int) or x < 1 for x in degrees):
+            raise SpecError(f"degrees must be positive integers, got {degrees}")
+        if len(genera) != len(degrees):
+            raise SpecError(f"genera length {len(genera)} != degrees length {len(degrees)}")
+        if any(not isinstance(g, int) or g < 0 for g in genera):
+            raise SpecError(f"genera must be nonnegative integers, got {genera}")
+        degrees, genera = zip(*sorted(zip(degrees, genera), reverse=True))
+        if len(profiles) < 3:
+            raise SpecError(f"need at least 3 marked fibers, got {len(profiles)}")
+        d = sum(degrees)
         norm = []
-        for mu in self.profiles:
+        for mu in profiles:
             mu = tuple(sorted(mu, reverse=True))
             if not is_partition(mu):
                 raise SpecError(f"profile {mu} is not a partition")
             if sum(mu) != d:
                 raise SpecError(f"profile {mu} has weight {sum(mu)}, expected {d}")
             norm.append(mu)
-        object.__setattr__(self, "profiles", tuple(norm))
+        return super().__new__(cls, degrees, genera, tuple(norm))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def d(self) -> int:

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .marked import (
     HurwitzSpec,
@@ -128,8 +128,7 @@ def _braid_move(word: tuple[int, ...]):
 MOVES = {b: _braid_move(WORDS[b]) for b in BOUNDARY_LABELS}
 
 
-@dataclass(frozen=True)
-class LiftedComponent:
+class LiftedComponent(NamedTuple):
     """The ``copies`` marked components over one unmarked component, whose
     canonical classes are ``classes``: G-translates of one another, each with
     this degree, genus, ram and nodes (keyed by BOUNDARY_LABELS)."""
@@ -142,8 +141,7 @@ class LiftedComponent:
     nodes: Mapping[str, tuple[Partition, ...]]
 
 
-@dataclass(frozen=True)
-class SheetGraph:
+class SheetGraph(NamedTuple):
     """Canonical sheets plus the three induced permutations of their indices,
     keyed by BOUNDARY_LABELS, and ``lifted``, the space's lifted_components
     computed from the same class graph."""
@@ -154,8 +152,7 @@ class SheetGraph:
     lifted: tuple[LiftedComponent, ...]
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """One connected component of the space as a cover of the target moduli.
 
     ``ram`` and ``nodes`` are keyed by BOUNDARY_LABELS.

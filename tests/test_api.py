@@ -1,6 +1,30 @@
+import copy
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 import types
 
+import pytest
+
 import hurmono
+from hurmono import (
+    ComponentReport,
+    GoldenRow,
+    HurwitzSpec,
+    LiftedComponent,
+    MarkedTuple,
+    RowVerdict,
+    SheetGraph,
+    SpecError,
+    VerifySummary,
+    build_sheet_graph,
+    components,
+    default_rows,
+    make_spec,
+    verify_all,
+)
 
 
 def test_all_lists_every_public_name():
@@ -21,3 +45,105 @@ def test_moved_names_keep_their_old_imports():
     assert hurmono.TooLargeError is marked.TooLargeError is perms.TooLargeError
     assert hurmono.BOUNDARY_LABELS is moves.BOUNDARY_LABELS
     assert moves.BOUNDARY_LABELS == tuple(moves.COLLIDING) == ("zero", "one", "infty")
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # the records are named tuples, so startup skips dataclasses and what it
+    # pulls in; importlib.resources may load inspect by itself (3.12's files()
+    # inspects its caller), so what it loads alone is the baseline
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    probe = (
+        "import sys\n"
+        "def loaded(): return {m for m in %r if m in sys.modules}\n"
+        "import importlib.resources\n"
+        "before = loaded()\n"
+        "import hurmono.cli\n"
+        "print(sorted(loaded() - before))\n"
+    ) % (heavy,)
+    src = str(pathlib.Path(hurmono.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# the eight records
+
+SPEC_FIELDS = ((2, 1), (1, 0), ((2, 1), (2, 1), (3,), (3,)))
+RAW_SPEC = ((1, 2), (0, 1), ((1, 2), (2, 1), (3,), (3,)))  # unsorted pairs and profiles
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: HurwitzSpec(*RAW_SPEC),
+        lambda: HurwitzSpec(degrees=RAW_SPEC[0], genera=RAW_SPEC[1], profiles=RAW_SPEC[2]),
+        lambda: HurwitzSpec(*SPEC_FIELDS)._replace(degrees=(1, 2), genera=(0, 1)),
+        lambda: HurwitzSpec._make(RAW_SPEC),
+        # tuple.__new__ skips validation; copy and pickle must not
+        lambda: copy.copy(tuple.__new__(HurwitzSpec, RAW_SPEC)),
+        lambda: pickle.loads(pickle.dumps(tuple.__new__(HurwitzSpec, RAW_SPEC))),
+    ],
+    ids=["positional", "keyword", "_replace", "_make", "copy", "pickle"],
+)
+def test_spec_normalizes_on_every_construction_path(construct):
+    spec = construct()
+    assert type(spec) is HurwitzSpec
+    assert spec == SPEC_FIELDS
+    assert (spec.degrees, spec.genera, spec.profiles) == SPEC_FIELDS
+    # a frozen dataclass hashed the tuple of its fields, so the hash is unchanged
+    assert hash(spec) == hash(SPEC_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda spec: spec._replace(degrees=(0,)),
+        lambda spec: spec._replace(profiles=((3,), (3,))),
+        lambda spec: HurwitzSpec._make(((2, 1), (1,), spec.profiles)),
+        lambda spec: copy.copy(tuple.__new__(HurwitzSpec, ((0,), (0,), spec.profiles))),
+        lambda spec: pickle.loads(pickle.dumps(tuple.__new__(HurwitzSpec, ((3,), (0,), ((3,),))))),
+    ],
+    ids=["_replace-degrees", "_replace-profiles", "_make", "copy", "pickle"],
+)
+def test_spec_validates_on_every_construction_path(construct):
+    with pytest.raises(SpecError):
+        construct(HurwitzSpec(*SPEC_FIELDS))
+
+
+def test_records_are_immutable():
+    graph = build_sheet_graph(make_spec("2,1", "0,0", "2,1;2,1;1,1,1;1,1,1"))
+    summary = verify_all(default_rows()[:1])
+    records = [
+        (MarkedTuple, graph.sheets[0], "perms"),
+        (HurwitzSpec, graph.spec, "degrees"),
+        (GoldenRow, summary.verdicts[0].row, "line_no"),
+        (RowVerdict, summary.verdicts[0], "passed"),
+        (VerifySummary, summary, "verdicts"),
+        (LiftedComponent, graph.lifted[0], "copies"),
+        (SheetGraph, graph, "s"),
+        (ComponentReport, components(graph)[0], "genus"),
+    ]
+    for cls, record, field in records:
+        assert type(record) is cls
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
+def test_record_reprs_unchanged():
+    spec = HurwitzSpec(*RAW_SPEC)
+    assert repr(spec) == (
+        "HurwitzSpec(degrees=(2, 1), genera=(1, 0), profiles=((2, 1), (2, 1), (3,), (3,)))"
+    )
+    t = MarkedTuple(perms=((1, 0, 2), (0, 1, 2)), labels=((1, 1, 2), (1, 2, 3)))
+    assert repr(t) == "MarkedTuple(perms=((1, 0, 2), (0, 1, 2)), labels=((1, 1, 2), (1, 2, 3)))"
+    assert repr(GoldenRow(spec=spec, expected=((1, 0, 1),))).endswith(
+        "expected=((1, 0, 1),), line_no=0)"
+    )

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import random
 
@@ -298,7 +297,7 @@ def test_full_twist_invariant_is_checked():
     assert graph.s["infty"] == tuple(range(len(graph.sheets)))
     walk_components(graph)
     swapped = (1, 0, *graph.s["infty"][2:])
-    broken = dataclasses.replace(graph, s={**graph.s, "infty": swapped})
+    broken = graph._replace(s={**graph.s, "infty": swapped})
     with pytest.raises(InvariantViolation, match="does not divide the order"):
         walk_components(broken)
 
