@@ -1,25 +1,23 @@
-"""Command-line front end.
+"""Command-line front end: ``hurmono sheets|report|verify FLAG...`` (see ``USAGE``).
 
-Subcommands:
-
-  sheets   enumerate the canonical sheets of a space
-  report   connected components with degree, ramification, and genus (m = 4)
-  verify   recompute the shipped golden tables and compare
-
-Spec grammar: ``--degrees 2,1 --genera 1,0 --profiles "2,1;2,1;2,1;2,1"``
-(``--profiles "2,1^4"`` is accepted sugar).  ``--format text|json|csv``
-selects the output form; text is the default.  Exit codes: 0 success
-(including empty spaces), 1 verification failure, 2 usage or parse error
-(or a ``verify`` that selects no rows), 3 enumeration guard exceeded.
+Grammar: a command, then its flags in any order, each ``--flag value`` or
+``--flag=value``.  A repeated flag keeps its last value, a token starting
+with ``--`` is never a value, and long flags are spelled in full.  ``-h`` or
+``--help`` anywhere prints ``USAGE`` and exits 0.  ``COMMANDS`` holds each
+command's function, its flags with their defaults (``False`` for a switch)
+and its required flags.  Spaces: ``--degrees 2,1 --genera 1,0 --profiles
+"2,1;2,1;2,1;2,1"`` (``--profiles "2,1^4"`` is accepted sugar).  Exit codes:
+0 success (including empty spaces), 1 verification failure, 2 usage or parse
+error (or a ``verify`` that selects no rows), 3 enumeration guard exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import sys
+from types import SimpleNamespace
 
 from .golden import (
     GoldenParseError,
@@ -251,53 +249,84 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command line
+
+USAGE = """\
+usage: hurmono sheets --degrees D --genera G --profiles P [--format F]
+       hurmono report --degrees D --genera G --profiles P [--format F] [-v]
+       hurmono verify [--degree N] [--goldens FILE] [--format F]
+
+Sheets and target-map monodromy of Hurwitz spaces of fully-marked admissible covers.
+
+  sheets           enumerate canonical sheets
+  report           connected components (m = 4)
+  verify           check the golden tables
+  --degrees D      source component degrees, e.g. 2,1
+  --genera G       source component genera, e.g. 1,0
+  --profiles P     ramification profiles, e.g. "2,1;2,1;2,1;2,1" or "2,1^4"
+  --format F       text (default), json or csv
+  -v, --verbose    also print each component's sheets and sheet permutations
+  --degree N       only the rows of total degree N
+  --goldens FILE   an alternate golden file
+  -h, --help       print this text and exit
+"""
+
+_SPEC = ("--degrees", "--genera", "--profiles")
+_SPEC_FLAGS = {**dict.fromkeys(_SPEC), "--format": "text"}
+# command -> (function, {flag: default, False for a switch}, required flags)
+COMMANDS = {
+    "sheets": (cmd_sheets, _SPEC_FLAGS, _SPEC),
+    "report": (cmd_report, {**_SPEC_FLAGS, "--verbose": False}, _SPEC),
+    "verify": (cmd_verify, {"--format": "text", "--degree": None, "--goldens": None}, ()),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hurmono",
-        description="Sheets and target-map monodromy of Hurwitz spaces of "
-        "fully-marked admissible covers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(message):
+    sys.stderr.write(f"{USAGE}error: {message}\n")
+    raise SystemExit(2)
 
-    def add_spec_flags(p):
-        p.add_argument("--degrees", required=True, help="source component degrees, e.g. 2,1")
-        p.add_argument("--genera", required=True, help="source component genera, e.g. 1,0")
-        p.add_argument(
-            "--profiles",
-            required=True,
-            help='ramification profiles, e.g. "2,1;2,1;2,1;2,1" or "2,1^4"',
-        )
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    p_sheets = sub.add_parser("sheets", help="enumerate canonical sheets")
-    add_spec_flags(p_sheets)
-    add_format(p_sheets)
-    p_sheets.set_defaults(func=cmd_sheets)
-
-    p_report = sub.add_parser("report", help="connected components (m = 4)")
-    add_spec_flags(p_report)
-    add_format(p_report)
-    p_report.add_argument("-v", "--verbose", action="store_true")
-    p_report.set_defaults(func=cmd_report)
-
-    p_verify = sub.add_parser("verify", help="check the golden tables")
-    add_format(p_verify)
-    p_verify.add_argument("--degree", type=int, default=None, help="filter by total degree")
-    p_verify.add_argument("--goldens", default=None, help="path to an alternate golden file")
-    p_verify.set_defaults(func=cmd_verify)
-    return parser
+def parse_args(argv):
+    """``(function, args)`` for a command line; ``-h`` and usage errors exit."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error(f"expected {', '.join(COMMANDS)} first, got {' '.join(argv[:1]) or 'nothing'}")
+    command, *tokens = argv
+    func, flags, required = COMMANDS[command]
+    values = dict(flags)
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        flag = "--verbose" if flag == "-v" else flag
+        if flag not in flags or flags[flag] is False and eq:
+            _usage_error(f"{command} does not take {token}")
+        if flags[flag] is False:
+            values[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                _usage_error(f"{flag} needs a value")
+        if flag == "--format" and value not in ("text", "json", "csv"):
+            _usage_error(f"--format must be text, json or csv, got {value}")
+        if flag == "--degree":
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"--degree must be an integer, got {value}")
+        values[flag] = value
+    missing = [flag for flag in required if values[flag] is None]
+    if missing:
+        _usage_error(f"{command} needs " + ", ".join(missing))
+    return func, SimpleNamespace(**{flag[2:]: value for flag, value in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    func, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return func(args)
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -49,17 +49,21 @@ def test_moved_names_keep_their_old_imports():
 
 def test_cli_import_loads_no_introspection_modules():
     # the records are named tuples, so startup skips dataclasses and what it
-    # pulls in; importlib.resources may load inspect by itself (3.12's files()
-    # inspects its caller), so what it loads alone is the baseline
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    # pulls in, and a flag table parses the command line, so a whole call skips
+    # argparse and the gettext and locale its first parser loads.
+    # importlib.resources may load inspect by itself (3.12's files() inspects
+    # its caller), so what it loads alone is the baseline
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale")
     probe = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "def loaded(): return {m for m in %r if m in sys.modules}\n"
         "import importlib.resources\n"
         "before = loaded()\n"
         "import hurmono.cli\n"
-        "print(sorted(loaded() - before))\n"
-    ) % (heavy,)
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = hurmono.cli.main(%r)\n"
+        "print(code, sorted(loaded() - before))\n"
+    ) % (heavy, ["report", "--degrees", "6,1", "--genera", "6,0", "--profiles", "3,3,1;7;7;7"])
     src = str(pathlib.Path(hurmono.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -68,7 +72,7 @@ def test_cli_import_loads_no_introspection_modules():
         text=True,
         check=True,
     ).stdout
-    assert out == "[]\n"
+    assert out == "0 []\n"
 
 
 # ---------------------------------------------------------------------------

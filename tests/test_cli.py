@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ from hurmono import (
     make_spec,
     partition_str,
 )
-from hurmono.cli import main
+from hurmono.cli import COMMANDS, USAGE, main
 
 
 def run_cli(*args, check=False):
@@ -381,6 +382,85 @@ def test_no_arguments_is_usage_error():
 def test_unknown_subcommand_is_usage_error():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+# the grammar, in-process: every flag, each parse error and help
+EMPTY7 = ("--degrees", "6,1", "--genera", "6,0", "--profiles", "3,3,1;7;7;7")
+
+
+def run_main(capsys, *args):
+    """(exit code, stdout, stderr) of one in-process call; usage errors exit."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_flag_equals_value_matches_flag_space_value(capsys):
+    spaced = run_main(capsys, "verify", "--degree", "2", "--format", "csv")
+    assert spaced == run_main(capsys, "verify", "--degree=2", "--format=csv")
+    assert spaced[0] == 0 and spaced[1].endswith("pass\n") and spaced[2] == ""
+
+
+def test_repeated_flag_keeps_its_last_value(capsys):
+    last = run_main(capsys, "verify", "--degree", "2")
+    assert run_main(capsys, "verify", "--degree", "3", "--degree=2") == last
+    assert run_main(capsys, "verify", "--format", "json", "--degree", "2", "--format", "text") == last
+
+
+@pytest.mark.parametrize("command", ["sheets", "report"])
+@pytest.mark.parametrize("kept", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+def test_missing_required_flags_are_named(capsys, command, kept):
+    args = [token for k in kept for token in EMPTY7[2 * k : 2 * k + 2]]
+    missing = [EMPTY7[2 * k] for k in range(3) if k not in kept]
+    code, out, err = run_main(capsys, command, *args)
+    assert (code, out) == (2, "")
+    assert err == f"{USAGE}error: {command} needs {', '.join(missing)}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("frobnicate",),
+        ("--degree", "2", "verify"),
+        ("verify", "--frobnicate"),
+        ("verify", "--deg", "2"),
+        ("verify", "-v"),
+        ("sheets", *EMPTY7, "--degree", "3"),
+        ("sheets", *EMPTY7, "--verbose"),
+        ("verify", "--format", "xml"),
+        ("verify", "--format="),
+        ("verify", "--degree", "x"),
+        ("verify", "--goldens"),
+        ("verify", "--goldens", "--degree", "2"),
+        ("report", *EMPTY7, "--verbose=1"),
+        ("report", *EMPTY7, "-v=1"),
+        ("report", *EMPTY7, "extra"),
+    ],
+    ids=lambda args: " ".join(args) or "nothing",
+)
+def test_malformed_command_line_is_a_usage_error(capsys, args):
+    code, out, err = run_main(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(USAGE + "error: ") and err.count("\n") == USAGE.count("\n") + 1
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize(
+    "args", [(), ("sheets",), ("report",), ("verify",), ("report", *EMPTY7), ("verify", "--deg")]
+)
+def test_help_prints_usage_and_exits_0(capsys, args, flag):
+    assert run_main(capsys, *args, flag) == (0, USAGE, "")
+
+
+def test_usage_names_every_command_and_flag():
+    flags = {flag for _, defaults, _ in COMMANDS.values() for flag in defaults}
+    assert len(flags) == 7
+    for name in (*COMMANDS, *flags, "-v", "-h", "--help"):
+        assert re.search(re.escape(name) + r"\b(?!-)", USAGE), name
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
