@@ -48,11 +48,6 @@ class GoldenRow(NamedTuple):
     expected: tuple[ExpectTriple, ...]
     line_no: int = 0
 
-    @property
-    def asserted(self) -> bool:
-        """True when every expected degree is asserted (no '?' entries)."""
-        return all(deg is not None for _, _, deg in self.expected)
-
 
 class RowVerdict(NamedTuple):
     row: GoldenRow
@@ -189,10 +184,6 @@ def parse_golden(text: str, source: str = "<golden>") -> tuple[GoldenRow, ...]:
 def format_expect(expected: tuple[ExpectTriple, ...]) -> str:
     """The ``count:genus:degree,...`` text of an expect field, ``?`` included."""
     return ",".join(f"{c}:{g}:{'?' if deg is None else deg}" for c, g, deg in expected)
-
-
-def format_golden_row(row: GoldenRow) -> str:
-    return f"{spec_line(row.spec)} expect={format_expect(row.expected)}"
 
 
 def load_golden_file(path: str | os.PathLike) -> tuple[GoldenRow, ...]:

@@ -29,12 +29,9 @@ from .perms import (
     Perm,
     TooLargeError,  # re-exported: callers also import it from hurmono.marked
     centralizer,
-    compose_all,
     conjugacy_class,
     conjugate,
     cycle_decomposition,
-    cycle_type,
-    identity,
     inverse,
     is_partition,
     orbits,
@@ -128,16 +125,11 @@ class HurwitzSpec(_SpecFields):
 # markings
 
 
-def marking_key(p: Perm, lab: LabelVector) -> tuple[int, ...]:
-    """Labels of the cycles of p read in canonical cycle order."""
-    return tuple(lab[c[0]] for c in cycle_decomposition(p))
-
-
 def enumerate_markings(p: Perm, mu: Partition) -> tuple[LabelVector, ...]:
     """All valid point-label vectors for p under profile mu, ascending.
 
     The count is the product over distinct cycle lengths l of
-    (multiplicity of l in mu)!.  Ascending means ascending marking_key.
+    (multiplicity of l in mu)!.  Ascending is tuple_key's order on markings.
 
     >>> len(enumerate_markings((1, 0, 2, 4, 3), (2, 2, 1)))
     2
@@ -150,7 +142,7 @@ def enumerate_markings(p: Perm, mu: Partition) -> tuple[LabelVector, ...]:
     # Canonical cycle order puts equal lengths contiguously (lengths descend),
     # so a marking is a choice, per length, of a permutation of that length's
     # label indices; iterating each block's permutations lexicographically
-    # yields vectors in ascending marking_key order.
+    # yields vectors whose labels, read in cycle order, ascend.
     blocks = [
         [j + 1 for j, part in enumerate(mu) if part == length]
         for length, _ in itertools.groupby(lengths)
@@ -166,24 +158,6 @@ def enumerate_markings(p: Perm, mu: Partition) -> tuple[LabelVector, ...]:
     return tuple(out)
 
 
-def valid_marking(p: Perm, lab: LabelVector, mu: Partition) -> bool:
-    """Check lab is constant on cycles and bijects them onto labels of mu."""
-    if len(lab) != len(p):
-        return False
-    seen = {}
-    for cyc in cycle_decomposition(p):
-        label = lab[cyc[0]]
-        if any(lab[x] != label for x in cyc):
-            return False
-        if label in seen:
-            return False
-        seen[label] = len(cyc)
-    mu = tuple(mu)
-    if sorted(seen) != list(range(1, len(mu) + 1)):
-        return False
-    return all(seen[j + 1] == part for j, part in enumerate(mu))
-
-
 # ---------------------------------------------------------------------------
 # transport and canonical forms
 
@@ -193,26 +167,10 @@ def transport_labels(w: Perm, labels: tuple[LabelVector, ...]) -> tuple[LabelVec
     return tuple(tuple(lab[x] for x in wi) for lab in labels)
 
 
-def transport_marking(w: Perm, t: MarkedTuple) -> MarkedTuple:
-    """Conjugate every sigma_i by w and carry each label along cycle images."""
-    if len(w) != t.degree:
-        raise ValueError(f"degree mismatch: {len(w)} vs {t.degree}")
-    return MarkedTuple(
-        perms=tuple(conjugate(w, p) for p in t.perms),
-        labels=transport_labels(w, t.labels),
-    )
-
-
-def markings_key(perms: tuple[Perm, ...], labels: tuple[LabelVector, ...]) -> tuple[int, ...]:
-    """The marking_key of every fiber, concatenated: the order on markings."""
-    return tuple(
-        itertools.chain.from_iterable(marking_key(p, lab) for p, lab in zip(perms, labels))
-    )
-
-
 def tuple_key(t: MarkedTuple):
-    """Total order key: concatenated images, then markings in cycle order."""
-    return (tuple(itertools.chain.from_iterable(t.perms)), markings_key(t.perms, t.labels))
+    """Total order key: concatenated images, then labels in canonical cycle order."""
+    marks = (lab[c[0]] for p, lab in zip(t.perms, t.labels) for c in cycle_decomposition(p))
+    return (tuple(itertools.chain.from_iterable(t.perms)), tuple(marks))
 
 
 @lru_cache(maxsize=None)  # keyed by (cycle type, d): at most 96 entries for d <= 9
@@ -255,7 +213,7 @@ def _unmarked_minimum(perms: tuple[Perm, ...]) -> tuple[tuple[Perm, ...], tuple[
 
 
 def canonicalize(t: MarkedTuple) -> MarkedTuple:
-    """Minimum of {transport_marking(w, t) : w in S_d} under tuple_key.
+    """Minimum under tuple_key of the transports of t by every w in S_d.
 
     Two-stage: the images first, over one centralizer coset
     (``_unmarked_minimum``), then the markings over its achievers, each read
@@ -269,23 +227,6 @@ def canonicalize(t: MarkedTuple) -> MarkedTuple:
         key=lambda lab: [lab[i][x] for i, x in starts],
     )
     return MarkedTuple(perms=cu, labels=labels)
-
-
-def validate_marked_tuple(t: MarkedTuple, spec: HurwitzSpec | None = None) -> None:
-    """Raise InvariantViolation unless t is a valid marked tuple (for spec)."""
-    d = t.degree
-    if any(len(p) != d for p in t.perms) or len(t.labels) != t.m:
-        raise InvariantViolation("ragged marked tuple")
-    if compose_all(t.perms) != identity(d):
-        raise InvariantViolation("product of tuple is not the identity")
-    for i, (p, lab) in enumerate(zip(t.perms, t.labels)):
-        mu = spec.profiles[i] if spec is not None else cycle_type(p)
-        if spec is not None and cycle_type(p) != mu:
-            raise InvariantViolation(f"fiber {i + 1} has cycle type {cycle_type(p)}, expected {mu}")
-        if not valid_marking(p, lab, mu):
-            raise InvariantViolation(f"fiber {i + 1} carries an invalid marking")
-    if spec is not None and component_signature(t) != spec.signature:
-        raise InvariantViolation("component signature does not match spec")
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +308,6 @@ def _sub_partitions(mu: Partition, n: int) -> tuple[tuple[int, Partition], ...]:
             left = (part for (part, k), c in zip(runs, counts) for _ in range(k - c))
             out.append((sum(counts), tuple(left)))
     return tuple(out)
-
-
-def component_signature(t: MarkedTuple) -> tuple[tuple[int, int], ...]:
-    """Signature of a marked tuple's permutation part; see signature_of_perms."""
-    return signature_of_perms(t.perms, t.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ moves.build_sheet_graph reads the moves through.
 
 Nothing sorts the sheets: the classes are swept in ascending order, tuple_key
 compares the permutations first, and ascending coordinates are ascending
-markings_key.  The sheets of one class are contiguous.
+labels read in canonical cycle order.  The sheets of one class are contiguous.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _sheets_of_unmarked_class(perms, spec: HurwitzSpec, stabilizer, start: int):
     # per fiber i, each part of a coordinate to the marking of sigma_i it reads
     parts, offset = [], -1
     for p, mu in zip(perms, spec.profiles):
-        firsts = [cyc[0] for cyc in cycle_decomposition(p)]  # as marking_key reads them
+        firsts = [cyc[0] for cyc in cycle_decomposition(p)]  # as tuple_key reads them
         markings = enumerate_markings(p, mu)
         parts.append({tuple(offset + lab[x] for x in firsts): lab for lab in markings})
         offset += len(mu)
@@ -187,8 +187,8 @@ def first_marking(perms) -> tuple[LabelVector, ...]:
 @lru_cache(maxsize=65536)
 def coordinate_reader(perms):
     """The function that sends a marking of ``perms`` to its coordinate in G:
-    its markings_key read on the label points, label j of fiber i being the
-    point n_1 + ... + n_{i-1} + j - 1, where n_i counts the cycles of sigma_i.
+    its labels in canonical cycle order, read on the label points, label j of
+    fiber i being the point n_1 + ... + n_{i-1} + j - 1, n_i the cycles of sigma_i.
 
     Relabeling by h in G sends the coordinate g to h g; transporting by z in
     Aut(perms) sends it to g h_z^-1, h_z the permutation of the cycles by z.

@@ -147,22 +147,46 @@ def o_signature(perms):
                 parent[a] = b
     comps = {}
     for x in range(d):
-        comps.setdefault(find(x), []).append(x)
+        comps.setdefault(find(x), set()).add(x)
+    cycles = [cyc for p in perms for cyc in o_cycles(p)]
     pairs = []
     for members in comps.values():
         size = len(members)
-        ram = sum(
-            len(cyc) - 1
-            for p in perms
-            for cyc in o_cycles(p)
-            if cyc[0] in set(members)
-        )
+        ram = sum(len(cyc) - 1 for cyc in cycles if cyc[0] in members)
         two_g_minus_2 = size * (-2) + ram
         assert two_g_minus_2 % 2 == 0
         genus = (two_g_minus_2 + 2) // 2
         assert genus >= 0
         pairs.append((size, genus))
     return tuple(sorted(pairs))
+
+
+def o_valid_marking(p, lab, mu):
+    """Whether lab is constant on every cycle of p and gives the labels
+    1..len(mu) to its cycles one each, label j to a cycle of length mu_j."""
+    cycles = o_cycles(p)
+    if len(lab) != len(p) or any(lab[x] != lab[cyc[0]] for cyc in cycles for x in cyc):
+        return False
+    length_of = {lab[cyc[0]]: len(cyc) for cyc in cycles}
+    return len(length_of) == len(cycles) and length_of == dict(enumerate(mu, start=1))
+
+
+def o_check_marked_tuple(perms, labels, profiles=None, signature=None):
+    """Assert that (perms, labels) is a marked tuple: one degree, identity
+    product, every fiber validly marked and, when given, of cycle type
+    profiles[i], and the source signature when one is given."""
+    d = len(perms[0])
+    assert all(len(p) == d for p in perms) and len(labels) == len(perms), "ragged tuple"
+    assert o_product(*perms) == tuple(range(d)), "product is not the identity"
+    for i, (p, lab) in enumerate(zip(perms, labels)):
+        mu = o_cycle_type(p) if profiles is None else tuple(profiles[i])
+        if not o_valid_marking(p, lab, mu):  # also when the cycle lengths are not mu
+            found = o_cycle_type(p)
+            assert found == mu, f"fiber {i + 1} has cycle type {found}, expected {mu}"
+            raise AssertionError(f"fiber {i + 1} carries an invalid marking")
+    if signature is not None:
+        sig = o_signature(perms)
+        assert sig == tuple(signature), f"signature {sig}, expected {tuple(signature)}"
 
 
 def o_marked_tuples(d, profiles):

@@ -17,20 +17,19 @@ import time
 from collections import Counter
 
 from discrepancies import DISCREPANCIES
-from oracle import all_partitions, oracle_sheets
+from oracle import all_partitions, o_check_marked_tuple, oracle_sheets
 
 from hurmono import (
     HurwitzSpec,
     MOVES,
     build_sheet_graph,
-    component_signature,
     components,
     enumerate_sheets,
     make_spec,
-    validate_marked_tuple,
     verify_all,
 )
-from hurmono.perms import compose, compose_all, conjugacy_class, cycle_type, identity, inverse
+from hurmono.marked import signature_of_perms
+from hurmono.perms import compose, compose_all, conjugacy_class, inverse
 
 DISPUTED = {make_spec(r.degrees, r.genera, r.profiles): r for r in DISCREPANCIES}
 
@@ -143,10 +142,7 @@ def test_criterion_6_move_invariant_suite(golden_rows):
         n = len(graph.sheets)
         for b in ("zero", "one", "infty"):
             assert sorted(graph.s[b]) == list(range(n)), (row.line_no, b)
-        e = identity(row.spec.d) if n else None
         for t in graph.sheets:
-            sig = component_signature(t)
-            types = tuple(cycle_type(p) for p in t.perms)
             moved_by = {name: move(t) for name, move in MOVES.items()}
 
             ti = moved_by["infty"].perms
@@ -162,10 +158,11 @@ def test_criterion_6_move_invariant_suite(golden_rows):
             assert word_zero(tz) == word_zero(t.perms)
 
             for name, moved in moved_by.items():
-                validate_marked_tuple(moved)
-                assert compose_all(moved.perms) == e, (row.line_no, name)
-                assert tuple(cycle_type(p) for p in moved.perms) == types
-                assert component_signature(moved) == sig
+                o_check_marked_tuple(moved.perms, moved.labels, row.spec.profiles)
+                assert signature_of_perms(moved.perms, row.spec.d) == row.spec.signature, (
+                    row.line_no,
+                    name,
+                )
 
 
 def test_criterion_7_riemann_hurwitz_consistency(golden_rows):

@@ -1,4 +1,7 @@
+import ast
 import copy
+import doctest
+import importlib
 import os
 import pathlib
 import pickle
@@ -7,6 +10,7 @@ import sys
 import types
 
 import pytest
+from test_benchmark_contract import TARGETS
 
 import hurmono
 from hurmono import (
@@ -36,6 +40,40 @@ def test_all_lists_every_public_name():
     }
     assert set(hurmono.__all__) == public
     assert len(hurmono.__all__) == len(public)
+
+
+def _read_names(node):
+    """Every name and attribute that the code under ``node`` reads."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_function_in_src_has_a_caller():
+    # every top-level function of a module is called from src/ outside its own
+    # definition (the __init__ re-export does not count), shown in a README or
+    # doctest example, or wrapped by the benchmark's tracer; a helper that only
+    # tests call belongs in tests/
+    package = pathlib.Path(hurmono.__file__).resolve().parent
+    readme = (package.parents[1] / "README.md").read_text()
+    examples = doctest.DocTestParser().get_examples(readme)
+    defined = {}
+    reached = {name for e in examples for name in _read_names(ast.parse(e.source))}
+    reached |= {attr for _, attr, _ in TARGETS}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", None)
+            if isinstance(node, ast.FunctionDef):
+                defined[name] = path.stem
+            reached |= _read_names(node) - {name}
+        for test in doctest.DocTestFinder().find(importlib.import_module(f"hurmono.{path.stem}")):
+            reached |= {name for e in test.examples for name in _read_names(ast.parse(e.source))}
+    orphans = sorted(f"{module}.{name}" for name, module in defined.items() if name not in reached)
+    assert orphans == []
 
 
 def test_moved_names_keep_their_old_imports():

@@ -5,7 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import o_conjugate, o_move_conjugators, o_relabel
+from oracle import (
+    o_check_marked_tuple,
+    o_conjugate,
+    o_move_conjugators,
+    o_relabel,
+    o_signature,
+    o_transport,
+)
 from sheet_walk import walk_components
 
 from hurmono import (
@@ -17,15 +24,12 @@ from hurmono import (
     build_sheet_graph,
     canonicalize,
     component_multiset,
-    component_signature,
     components,
     default_rows,
     enumerate_markings,
     enumerate_sheets,
     make_spec,
     node_product,
-    transport_marking,
-    validate_marked_tuple,
 )
 from hurmono import moves, sheets
 from hurmono.golden import GoldenRow, spec_line, verify_row
@@ -99,7 +103,8 @@ def test_boundary_relation_on_every_tuple(t):
     moved = t
     for b in BOUNDARY_LABELS:
         moved = MOVES[b](moved)
-    assert moved == transport_marking(t.perms[3], t)
+    s4 = t.perms[3]
+    assert moved == (tuple(o_conjugate(s4, p) for p in t.perms), o_transport(s4, t.labels))
     for i in (1, 2, 3):
         for sign in (1, -1):
             there = half_twist(t.perms, t.labels, i, sign)
@@ -143,15 +148,12 @@ def test_conservation_laws(t):
 @settings(deadline=None)
 @given(marked_tuples())
 def test_moves_preserve_structure(t):
-    validate_marked_tuple(t)
-    sig = component_signature(t)
+    o_check_marked_tuple(t.perms, t.labels)
+    sig = o_signature(t.perms)
     types = tuple(cycle_type(p) for p in t.perms)
-    for name, move in MOVES.items():
+    for move in MOVES.values():
         moved = move(t)
-        validate_marked_tuple(moved)
-        assert tuple(cycle_type(p) for p in moved.perms) == types, name
-        assert component_signature(moved) == sig, name
-        assert compose_all(moved.perms) == identity(t.degree), name
+        o_check_marked_tuple(moved.perms, moved.labels, types, sig)
 
 
 @given(marked_tuples(max_degree=4))
