@@ -218,7 +218,7 @@ def canonicalize(t: MarkedTuple) -> MarkedTuple:
     Two-stage: the images first, over one centralizer coset
     (``_unmarked_minimum``), then the markings over its achievers, each read
     on the cycle starts of the canonical images.  The class scans behind the
-    coset start in ``all_perms``, so d > MAX_DEGREE raises TooLargeError there.
+    coset check the degree first, so d > MAX_DEGREE raises TooLargeError there.
     """
     cu, achievers = _unmarked_minimum(t.perms)
     starts = [(i, cyc[0]) for i, p in enumerate(cu) for cyc in cycle_decomposition(p)]

@@ -24,9 +24,9 @@ orbits are sorted inside and listed by minimum.
 
 MAX_DEGREE = 9 is the package's one degree guard, and ``check_degree`` is its
 one comparison: it raises TooLargeError above the bound and DegreeError below
-1.  Every scan over S_d (conjugacy classes, centralizers) starts in
-``all_perms``, which calls it; the canonical forms of ``hurmono.marked`` scan
-one coset of a centralizer built by those scans.  ``sheets.unmarked_classes``
+1.  Every scan over S_d (conjugacy classes, centralizers) calls it before
+its first permutation; the canonical forms of ``hurmono.marked`` scan one
+coset of a centralizer built by those scans.  ``sheets.unmarked_classes``
 calls it too, before its emptiness pre-check, so a space over the guard is
 refused even when it is provably empty and no scan runs.
 """
@@ -208,20 +208,14 @@ def orbits(perms, d: int | None = None) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def all_perms(d: int) -> tuple[Perm, ...]:
-    """All d! permutations of degree d, in lexicographic order."""
-    check_degree(d)
-    return tuple(itertools.permutations(range(d)))
-
-
 def centralizer(p: Perm) -> tuple[Perm, ...]:
     """All w with conjugate(w, p) == p, in lexicographic order.
 
     >>> [perm_str(w) for w in centralizer(parse_perm("(1 2)", 4))]
     ['()', '(3 4)', '(1 2)', '(1 2)(3 4)']
     """
-    return tuple(w for w in all_perms(len(p)) if conjugate(w, p) == p)
+    perms = itertools.permutations(range(check_degree(len(p))))
+    return tuple(w for w in perms if conjugate(w, p) == p)
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +223,7 @@ def conjugacy_class(mu: Partition, d: int) -> tuple[Perm, ...]:
     """All permutations of degree d with cycle type mu, in lexicographic order."""
     if sum(mu) != d:
         raise ValueError(f"partition {mu} has weight {sum(mu)}, expected {d}")
-    return tuple(p for p in all_perms(d) if cycle_type(p) == mu)
+    return tuple(p for p in itertools.permutations(range(check_degree(d))) if cycle_type(p) == mu)
 
 
 def group_order(gens, n: int) -> int:

@@ -5,13 +5,15 @@ unmarked_classes is the prefix scan.  Before it, splits_among_components
 checks that each profile splits among the source components with
 Riemann-Hurwitz holding on each.  Every tuple of the space makes such a
 split, so a rejection proves the space empty, and unmarked_classes returns ()
-without building a conjugacy class.  The scan fixes sigma_1 to the least
-member of its conjugacy class (every conjugacy class of tuples contains a
-tuple of that shape), takes one sigma_2 per Z(sigma_1)-orbit of its class
-(conjugating by the centralizer keeps sigma_1), iterates sigma_3..sigma_{m-1}
-over their conjugacy classes and forces sigma_m to close the product;
-candidates failing the last cycle type or the component-signature filter are
-dropped, and the rest are merged into their unmarked classes U.
+without building a conjugacy class.  The scan is orderly generation (McKay
+1998): it meets each class once, at its canonical form U, the least conjugate.
+U's sigma_1 is the least of its class, kept exactly by Z(sigma_1) (S_d if
+sigma_1 = e); sigma_2 is then the least, so the first in class order, of its
+Z(sigma_1)-orbit, the conjugators left are its stabilizer, and so on to
+sigma_{m-1}; sigma_m is forced.  So each free fiber runs over the first member
+of each orbit of the prefix's stabilizer, whole classes once it is {e}; the
+loops meet the classes ascending, and the candidates passing the last cycle
+type and the component-signature filter are the U.
 
 A marking of U is encoded by its coordinate in the marking group G (per
 fiber, the relabelings of equal-length cycles), which acts freely and
@@ -78,29 +80,27 @@ def unmarked_classes(spec: HurwitzSpec) -> tuple[tuple[Perm, ...], ...]:
     {(d_l, g_l)}.  May be empty.  Raises TooLargeError for m > MAX_ENUM_FIBERS,
     then for d > MAX_DEGREE, empty spaces included.  Then, if
     splits_among_components(spec) is False, which proves the space empty, it
-    returns () before any class is built.  Otherwise sigma_1 is fixed and
-    sigma_2 runs over Z(sigma_1)-orbit representatives only.
+    returns () before any class is built.  Otherwise sigma_1 is the least of
+    its class and sigma_2..sigma_{m-1} run over the least member of each
+    Z(sigma_1)-orbit of their product, so every class is met once, canonical.
     """
     check_fiber_count(spec.m)
     d = check_degree(spec.d)
     if not splits_among_components(spec):
         return ()
     want = spec.signature
-    classes = [conjugacy_class(mu, d) for mu in spec.profiles[:-1]]  # sigma_m is forced
+    classes = [conjugacy_class(mu, d) for mu in spec.profiles[1:-1]]  # sigma_m is forced
     last_mu = spec.profiles[-1]
-
-    seen_unmarked: set[tuple] = set()
+    out = []
     first, _, group = _least_of_class(spec.profiles[0], d)
-    seconds = _orbit_representatives(classes[1], group)
-    for prefix in itertools.product((first,), seconds, *classes[2:]):
+    for prefix in _orbit_representatives((first,), classes, group):
         last = inverse(compose_all(prefix))
         if cycle_type(last) != last_mu:
             continue
         perms = (*prefix, last)
-        if signature_of_perms(perms, d) != want:
-            continue
-        seen_unmarked.add(_unmarked_minimum(perms)[0])
-    return tuple(sorted(seen_unmarked))
+        if signature_of_perms(perms, d) == want:
+            out.append(perms)
+    return tuple(out)
 
 
 def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
@@ -118,15 +118,21 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
     )
 
 
-def _orbit_representatives(cls, group) -> list:
-    """The first member, in ``cls`` order, of each ``group``-conjugation orbit
-    of ``cls``; costs sum(|Stab(p)|) over ``cls``."""
-    reps, seen = [], set()
-    for p in cls:
+def _orbit_representatives(prefix, classes, group):
+    """``prefix`` followed by the least member of each ``group``-conjugation
+    orbit of the product of ``classes``, ascending; ``group`` fixes ``prefix``.
+    The head is the first member of its orbit in ``classes[0]``, and the tail
+    recurses under the head's stabilizer; under {e} every tuple is least."""
+    if len(group) == 1 or not classes:
+        yield from itertools.product(*[(p,) for p in prefix], *classes)
+        return
+    seen = set()
+    for p in classes[0]:
         if p not in seen:
-            reps.append(p)
-            seen.update(conjugate(z, p) for z in group)
-    return reps
+            images = [conjugate(z, p) for z in group]
+            seen.update(images)
+            stabilizer = [z for z, q in zip(group, images) if q == p]
+            yield from _orbit_representatives((*prefix, p), classes[1:], stabilizer)
 
 
 def _sheets_of_unmarked_class(perms, spec: HurwitzSpec, stabilizer, start: int):

@@ -41,19 +41,22 @@ def o_conjugate(w, p):
 
 
 def o_cycles(p):
-    """Cycles rotated to start at their minimum, longest first, ties by min."""
-    remaining = set(range(len(p)))
+    """Cycles starting at their minimum, longest first, ties by min.
+
+    Each walk starts at the least point not yet seen, so at its cycle's minimum.
+    """
+    seen = set()
     cycles = []
-    while remaining:
-        start = min(remaining)
+    for start in range(len(p)):
+        if start in seen:
+            continue
         cyc = [start]
         x = p[start]
         while x != start:
             cyc.append(x)
             x = p[x]
-        remaining.difference_update(cyc)
-        shift = cyc.index(min(cyc))
-        cycles.append(tuple(cyc[shift:] + cyc[:shift]))
+        seen.update(cyc)
+        cycles.append(tuple(cyc))
     cycles.sort(key=lambda c: (-len(c), c[0]))
     return cycles
 

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle import all_partitions, o_check_marked_tuple, o_key, o_marked_tuples, oracle_sheets
 
+import hurmono.sheets
 from hurmono import (
     HurwitzSpec,
     TooLargeError,
@@ -27,7 +29,6 @@ from hurmono.marked import (
 )
 from hurmono.perms import (
     MAX_DEGREE,
-    all_perms,
     centralizer,
     compose,
     compose_all,
@@ -126,24 +127,31 @@ def test_oracle_equivalence_other_fiber_counts(profiles):
     assert_matches_oracle(sum(profiles[0]), profiles)
 
 
+@settings(deadline=None)
 @given(
     st.integers(1, 6).flatmap(
         lambda d: st.tuples(
-            st.permutations(list(range(d))).map(tuple), st.sampled_from(all_partitions(d))
+            st.permutations(list(range(d))).map(tuple),
+            st.lists(st.sampled_from(all_partitions(d)), min_size=1, max_size=1 + (d < 6)),
         )
     )
 )
-def test_orbit_representatives_are_a_transversal(p_mu):
-    p, mu = p_mu
+def test_orbit_representatives_are_a_transversal(p_mus):
+    # the tuples after the prefix (p,) are a transversal of the Z(p)-orbits,
+    # under simultaneous conjugation, of the product of one or two classes
+    p, mus = p_mus
     group = centralizer(p)
-    cls = conjugacy_class(mu, len(p))
-    reps = _orbit_representatives(cls, group)
-    orbits = [{conjugate(z, r) for z in group} for r in reps]
+    classes = [conjugacy_class(mu, len(p)) for mu in mus]
+    found = list(_orbit_representatives((p,), classes, group))
+    assert all(r[0] == p for r in found)
+    reps = [r[1:] for r in found]
+    assert reps == sorted(reps)
+    orbits = [{tuple(conjugate(z, x) for x in r) for z in group} for r in reps]
     assert all(r == min(orbit) for r, orbit in zip(reps, orbits))
     assert all(a.isdisjoint(b) for a, b in itertools.combinations(orbits, 2))
-    # orbit-stabilizer: |orbit of r| = |Z(p)| / |Z(p) ∩ Z(r)|, and the orbits cover cls
-    stabilizers = [sum(1 for z in group if conjugate(z, r) == r) for r in reps]
-    assert sum(len(group) // k for k in stabilizers) == len(cls)
+    # orbit-stabilizer: |orbit of r| = |Z(p)| / |Stab(r)|, and the orbits cover the product
+    stabilizers = [sum(1 for z in group if all(conjugate(z, x) == x for x in r)) for r in reps]
+    assert sum(len(group) // k for k in stabilizers) == math.prod(map(len, classes))
 
 
 def test_sheets_are_canonical_sorted_and_valid():
@@ -216,6 +224,24 @@ def test_scan_fixes_sigma_1_to_the_least_of_its_class():
         assert all(u[0] == least for u in unmarked_classes(row.spec))
 
 
+def test_scan_emits_canonical_forms_once_in_order(monkeypatch):
+    # orderly generation: the scan computes no canonical form, since every
+    # tuple it emits is already its class's least conjugate, met once
+    calls = []
+
+    def counted(perms):
+        calls.append(perms)
+        return _unmarked_minimum(perms)
+
+    monkeypatch.setattr(hurmono.sheets, "_unmarked_minimum", counted)
+    found = [unmarked_classes(row.spec) for row in default_rows()]
+    monkeypatch.undo()
+    assert len(calls) == 0
+    for classes in found:
+        assert all(_unmarked_minimum(u)[0] == u for u in classes)
+        assert all(a < b for a, b in zip(classes, classes[1:]))
+
+
 def test_base_marking_is_the_first_marking():
     spec = make_spec("4", "1", "2,2^4")
     for perms in unmarked_classes(spec):
@@ -273,7 +299,11 @@ def test_marking_coordinates(case):
     assert coords == sorted(group)
     # H_U: the transports of the first marking by Aut(U), found by filtering S_d
     first = first_marking(perms)
-    aut = [w for w in all_perms(len(perms[0])) if all(conjugate(w, p) == p for p in perms)]
+    aut = [
+        w
+        for w in itertools.permutations(range(len(perms[0])))
+        if all(conjugate(w, p) == p for p in perms)
+    ]
     stabilizer = label_stabilizer(perms)
     assert stabilizer == {read(transport_labels(w, first)) for w in aut}
     # each swept sheet's coordinate is the least element of its coset, and
@@ -363,28 +393,34 @@ def signatures(d):
 
 
 def realized_signatures(profiles):
-    """The signatures of the tuples with these profiles: sigma_1 fixed to the
-    least of its class, sigma_2 and sigma_3 over their classes, sigma_4 forced."""
+    """Each signature of the tuples with these profiles, to the canonical forms
+    of those tuples: sigma_1 fixed to the least of its class, sigma_2 and
+    sigma_3 over their whole classes, sigma_4 forced, every passing tuple
+    canonicalized.  This full-product scan is the reference for the scan."""
     d = sum(profiles[0])
     first = conjugacy_class(profiles[0], d)[0]
-    out = set()
+    out = {}
     for second, third in itertools.product(*(conjugacy_class(mu, d) for mu in profiles[1:3])):
-        last = inverse(compose_all((first, second, third)))
-        if cycle_type(last) == profiles[3]:
-            out.add(signature_of_perms((first, second, third, last), d))
+        perms = (first, second, third, inverse(compose_all((first, second, third))))
+        if cycle_type(perms[3]) == profiles[3]:
+            sig = signature_of_perms(perms, d)
+            out.setdefault(sig, set()).add(_unmarked_minimum(perms)[0])
     return out
 
 
 def test_pre_check_census_up_to_degree_five():
     # every unordered 4-tuple of profiles with every signature: the pre-check
     # rejects no nonempty space, and accepts only two empty ones at d = 4,
-    # and the same two plus a fixed point at d = 5
+    # and the same two plus a fixed point at d = 5; on every nonempty space
+    # the scan lists exactly the full-product scan's canonical forms, in order
     accepted, nonempty, exceptions = {}, {}, []
     for d in (3, 4, 5):
         sigs = signatures(d)
         for profiles in itertools.combinations_with_replacement(all_partitions(d), 4):
             realized = realized_signatures(profiles)
-            assert realized <= set(sigs)
+            assert realized.keys() <= set(sigs)
+            for sig, forms in realized.items():
+                assert unmarked_classes(spec_for(sig, profiles)) == tuple(sorted(forms))
             for sig in sigs:
                 spec = spec_for(sig, profiles)
                 ok = splits_among_components(spec)
