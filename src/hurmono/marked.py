@@ -32,6 +32,7 @@ from .perms import (
     conjugacy_class,
     conjugate,
     cycle_decomposition,
+    cycle_type,
     inverse,
     is_partition,
     orbits,
@@ -180,6 +181,17 @@ def _least_of_class(mu: Partition, d: int) -> tuple[Perm, tuple[Cycle, ...], tup
     return least, cycle_decomposition(least), centralizer(least)
 
 
+def _onto_least(p: Perm) -> Perm:
+    """w_0: sends the cycles of p onto those of the least of its class, in
+    canonical order, so that w_0 p w_0^-1 is that least member."""
+    cycles = cycle_decomposition(p)
+    w0 = [0] * len(p)
+    for cyc, image in zip(cycles, _least_of_class(tuple(map(len, cycles)), len(p))[1]):
+        for x, y in zip(cyc, image):
+            w0[x] = y
+    return tuple(w0)
+
+
 @lru_cache(maxsize=65536)
 def _unmarked_minimum(perms: tuple[Perm, ...]) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
     """Minimum of the conjugacy orbit of ``perms`` and all w achieving it, ascending.
@@ -192,12 +204,8 @@ def _unmarked_minimum(perms: tuple[Perm, ...]) -> tuple[tuple[Perm, ...], tuple[
     """
     d = len(perms[0])
     f = next((i for i, p in enumerate(perms) if p != tuple(range(d))), 0)
-    cycles = cycle_decomposition(perms[f])
-    least, least_cycles, group = _least_of_class(tuple(map(len, cycles)), d)
-    w0 = [0] * d
-    for cyc, image in zip(cycles, least_cycles):
-        for x, y in zip(cyc, image):
-            w0[x] = y
+    least, _, group = _least_of_class(cycle_type(perms[f]), d)
+    w0 = _onto_least(perms[f])
     rest = perms[f + 1 :]
     best = None
     achievers = []
@@ -219,6 +227,7 @@ def canonicalize(t: MarkedTuple) -> MarkedTuple:
     (``_unmarked_minimum``), then the markings over its achievers, each read
     on the cycle starts of the canonical images.  The class scans behind the
     coset check the degree first, so d > MAX_DEGREE raises TooLargeError there.
+    It serves the API and the tests; the pipeline reads the scan's tables.
     """
     cu, achievers = _unmarked_minimum(t.perms)
     starts = [(i, cyc[0]) for i, p in enumerate(cu) for cyc in cycle_decomposition(p)]

@@ -45,9 +45,9 @@ from .marked import (
     LabelVector,
     MarkedTuple,
     SpecError,
-    canonicalize,
     riemann_hurwitz_genus,
-    # Not called: the benchmark's tracer wraps this name until ROADMAP item 1.
+    # Not called: the benchmark's tracer wraps these names until ROADMAP item 1.
+    canonicalize,
     tuple_key,
 )
 from .perms import (
@@ -63,6 +63,7 @@ from .perms import (
     orbits,
 )
 from .sheets import (
+    _scan,
     _sheets_of_unmarked_class,
     coordinate_reader,
     # Not called: the benchmark's tracer wraps this name until ROADMAP item 1.
@@ -70,7 +71,6 @@ from .sheets import (
     first_marking,
     label_stabilizer,
     marking_group_order,
-    unmarked_classes,
 )
 
 
@@ -79,13 +79,15 @@ def half_twist(
 ) -> tuple[tuple[Perm, ...], tuple[LabelVector, ...]]:
     """b_i (sign > 0) or b_i^-1 (sign < 0) on fibers i and i+1, counted from 1."""
     a, b = perms[i - 1], perms[i]
-    la, lb = labels[i - 1], labels[i]
+    # one loop conjugates p by w, sending w(x) to w(p(x)), and moves x's label to w(x)
+    w, p, lab = (a, b, labels[i]) if sign > 0 else (inverse(b), a, labels[i - 1])
+    image, moved = [0] * len(p), [0] * len(p)
+    for x, y in enumerate(w):
+        image[y], moved[y] = w[p[x]], lab[x]
     if sign > 0:
-        pair = (conjugate(a, b), a)
-        marks = (tuple(lb[x] for x in inverse(a)), la)
+        pair, marks = (tuple(image), a), (tuple(moved), labels[i - 1])
     else:
-        pair = (b, conjugate(inverse(b), a))
-        marks = (lb, tuple(la[x] for x in b))
+        pair, marks = (b, tuple(image)), (labels[i], tuple(moved))
     return perms[: i - 1] + pair + perms[i + 1 :], labels[: i - 1] + marks + labels[i + 1 :]
 
 
@@ -165,15 +167,18 @@ class ComponentReport(NamedTuple):
     nodes: Mapping[str, tuple[Partition, ...]]
 
 
-def class_graph(spec: HurwitzSpec, classes):
+def class_graph(spec: HurwitzSpec, classes, auts, locate):
     """The three moves on ``classes``, the ascending unmarked classes of a
-    space: (stabilizers, target, voltage).
+    space, given their Aut(U) and the scan's ``locate`` (sheets._scan):
+    (stabilizers, target, voltage).
 
     Each move runs once per class U, on its first marking.  The move around
     b sends the u-th class to the target[b][u]-th, U', and the sheet
-    (U, g H_U) to (U', g k H_U'), where k = voltage[b][u] is the coordinate
-    of the canonical image and H_U = stabilizers[u] (sheets.label_stabilizer).
-    The sheet graph is the derived graph of this voltage assignment in G.
+    (U, g H_U) to (U', g k H_U'), H_U = stabilizers[u] (label_stabilizer).
+    k = voltage[b][u] is the coordinate of the image's marking transported by
+    the w t w^-1 = U' that locate finds; any w serves, as another is a w, a
+    in Aut(U'), which turns k into k h, h in H_U', the same coset.  The sheet
+    graph is the derived graph of this voltage assignment in G.
 
     Raises InvariantViolation when a move leaves ``classes``; when it does
     not permute the classes or some k^-1 H_U k is not H_U', so that it is not
@@ -181,17 +186,19 @@ def class_graph(spec: HurwitzSpec, classes):
     class U with a voltage in H_U, so that they compose to e on the sheets.
     """
     index = {u: k for k, u in enumerate(classes)}
-    stabilizers = tuple(map(label_stabilizer, classes))
+    stabilizers = tuple(map(label_stabilizer, classes, auts))
     e = tuple(range(sum(map(len, spec.profiles))))  # on the label points
     firsts = [MarkedTuple(u, first_marking(u)) for u in classes]
     readers = list(map(coordinate_reader, classes))
     target, voltage = {}, {}
     for b, move in MOVES.items():
-        moved = [canonicalize(move(t)) for t in firsts]
-        if any(t.perms not in index for t in moved):
-            raise InvariantViolation(f"move around {b} left the sheet set of {spec}")
-        target[b] = tuple(index[t.perms] for t in moved)
-        voltage[b] = tuple(readers[v](t.labels) for v, t in zip(target[b], moved))
+        target[b], voltage[b] = [], []
+        for t in map(move, firsts):
+            found = locate(t.perms)
+            if found is None:
+                raise InvariantViolation(f"move around {b} left the sheet set of {spec}")
+            target[b].append(v := index[found[0]])
+            voltage[b].append(readers[v](t.labels, inverse(found[1])))
         # k^-1 H_U k = H_U' checked as H_U k = k H_U'; itemgetter(*k)(h) is h k
         if sorted(target[b]) != list(range(len(classes))) or any(
             set(map(itemgetter(*k), stabilizers[u])) != {itemgetter(*h)(k) for h in stabilizers[v]}
@@ -221,8 +228,8 @@ def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
     """
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
-    classes = unmarked_classes(spec)
-    stabilizers, target, voltage = class_graph(spec, classes)
+    classes, auts, locate = _scan(spec)
+    stabilizers, target, voltage = class_graph(spec, classes, auts, locate)
     lifted = _lift(spec, classes, stabilizers, target, voltage)
     # coordinates[u]: the coordinate of each sheet over class u; tables[u]:
     # every element of G to the index of the sheet over u whose coset holds it
@@ -299,8 +306,8 @@ def lifted_components(spec: HurwitzSpec) -> tuple[LiftedComponent, ...]:
     """
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
-    classes = unmarked_classes(spec)
-    return _lift(spec, classes, *class_graph(spec, classes))
+    classes, auts, locate = _scan(spec)
+    return _lift(spec, classes, *class_graph(spec, classes, auts, locate))
 
 
 def _lift(spec: HurwitzSpec, classes, stabs, target, voltage) -> tuple[LiftedComponent, ...]:

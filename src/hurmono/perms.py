@@ -232,7 +232,8 @@ def group_order(gens, n: int) -> int:
     Deterministic Schreier-Sims: the Sims filter keeps at most one generator
     per (first moved point i, image of i), the order is the orbit length of
     the first moved point times the order of its stabilizer, and Schreier's
-    lemma generates that stabilizer from the orbit's transversal.
+    lemma generates that stabilizer from the orbit's transversal, less the
+    generators that are e, those of the transversal's own tree edges first.
 
     >>> group_order([parse_perm("(1 2 3 4)", 4), parse_perm("(1 2)", 4)], 4)
     24
@@ -261,9 +262,10 @@ def group_order(gens, n: int) -> int:
                     todo.append(y)
         order *= len(transversal)
         gens = [
-            compose(inverse(transversal[s[x]]), compose(s, u))
+            compose(inverse(transversal[s[x]]), su)
             for x, u in transversal.items()
             for s in gens
+            if (su := compose(s, u)) != transversal[s[x]]
         ]
 
 

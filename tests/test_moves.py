@@ -30,18 +30,21 @@ from hurmono import (
     enumerate_sheets,
     make_spec,
     node_product,
+    verify_all,
 )
-from hurmono import moves, sheets
+from hurmono import marked, moves, sheets
 from hurmono.golden import GoldenRow, spec_line, verify_row
+from hurmono.marked import _unmarked_minimum
 from hurmono.moves import WORDS, check_unmarked_image, half_twist, lifted_components
 from hurmono.perms import (
     compose,
     compose_all,
+    conjugate,
     cycle_type,
     identity,
     inverse,
 )
-from hurmono.sheets import unmarked_classes
+from hurmono.sheets import _scan, first_marking, unmarked_classes
 
 
 def perms_of_degree(d):
@@ -285,10 +288,15 @@ def test_graph_matches_per_sheet_moves():
 
 
 def test_move_leaving_the_sheet_set_is_caught(monkeypatch):
-    # b_1 trades the cycle types of fibers 1 and 2, which differ in this space.
+    # b_1 trades the cycle types of fibers 1 and 2, which differ in this space,
+    # so sigma_2's table has no entry for the image's fiber 2
+    spec = make_spec("3", "0", "3;2,1;2,1;1,1,1")
+    classes, _, locate = _scan(spec)
+    t = MarkedTuple(classes[0], first_marking(classes[0]))
+    assert locate(moves._braid_move((1,))(t).perms) is None
     monkeypatch.setitem(moves.MOVES, "zero", moves._braid_move((1,)))
     with pytest.raises(InvariantViolation, match="left the sheet set"):
-        build_sheet_graph(make_spec("3", "0", "3;2,1;2,1;1,1,1"))
+        build_sheet_graph(spec)
 
 
 def test_full_twist_invariant_is_checked():
@@ -390,7 +398,7 @@ def test_move_that_is_not_a_bijection_is_caught(monkeypatch):
     monkeypatch.setattr(
         moves,
         "label_stabilizer",
-        lambda u: frozenset({tuple(range(6))}) if u == first else stabilizer(u),
+        lambda u, aut: frozenset({tuple(range(6))}) if u == first else stabilizer(u, aut),
     )
     with pytest.raises(InvariantViolation, match="zero is not a bijection of sheets"):
         build_sheet_graph(spec)
@@ -414,7 +422,7 @@ def test_lift_lists_no_marking_and_report_scans_once(monkeypatch):
         patch.setattr(sheets, "enumerate_markings", None)
         assert [(c.copies, c.degree) for c in lifted_components(spec)] == [(13824, 1)]
     spec = make_spec("4", "1", "2,2^4")  # 3 classes of 4 fibers
-    scans = count_calls(monkeypatch, "unmarked_classes", moves, sheets)
+    scans = count_calls(monkeypatch, "_scan", moves, sheets)
     graphs = count_calls(monkeypatch, "class_graph", moves)
     stabilizers = count_calls(monkeypatch, "label_stabilizer", moves, sheets)
     markings = count_calls(monkeypatch, "enumerate_markings", sheets)
@@ -445,3 +453,53 @@ def test_unmarked_image_check():
         check_unmarked_image(degree=6, genus=0, base_degree=3, base_genus=1)
     with pytest.raises(InvariantViolation, match="cannot cover"):
         check_unmarked_image(degree=4, genus=2, base_degree=3, base_genus=0)
+
+
+# ---------------------------------------------------------------------------
+# move targets by table lookup
+
+
+DEGREE_SEVEN = [make_spec("7", "3", "3,3,1^3;7"), make_spec("7", "2", "3,1,1,1,1;3,1,1,1,1;7;7")]
+
+
+@pytest.mark.parametrize("spec", LIFT_SPECS + DEGREE_SEVEN, ids=spec_line)
+def test_locate_finds_the_canonical_form_of_every_move_image(spec):
+    # the scan's tables give the coset scan's canonical form, with a conjugator
+    classes, _, locate = _scan(spec)
+    for u in classes:
+        for move in MOVES.values():
+            t = move(MarkedTuple(u, first_marking(u))).perms
+            image, w = locate(t)
+            assert image == _unmarked_minimum(t)[0]
+            assert tuple(conjugate(w, p) for p in t) == image
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_locate_undoes_any_conjugation(data):
+    row = data.draw(st.sampled_from(default_rows()))
+    classes, _, locate = _scan(row.spec)
+    u = data.draw(st.sampled_from(classes))
+    w = data.draw(perms_of_degree(row.spec.d))
+    t = tuple(conjugate(w, p) for p in u)
+    image, back = locate(t)
+    assert image == u
+    assert tuple(conjugate(back, p) for p in t) == u
+
+
+def test_pipeline_runs_no_coset_scan(monkeypatch):
+    # targets, voltages and Aut(U) come from the scan's tables: verify, the
+    # sheet graph, the lift and the sheet count call neither canonicalize nor
+    # _unmarked_minimum (the tracer's names stay in place)
+    calls = []
+    for module in (marked, sheets, moves):
+        for name in ("_unmarked_minimum", "canonicalize"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, fn=fn: calls.append(fn) or fn(*a))
+    summary = verify_all()
+    assert (summary.n_pass, summary.n_fail) == (50, 2)
+    spec = make_spec("4", "1", "2,2^4")
+    assert sheets.count_sheets(spec) == len(build_sheet_graph(spec).sheets) == 12
+    assert lifted_components(spec)
+    assert calls == []

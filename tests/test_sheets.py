@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -36,9 +37,11 @@ from hurmono.perms import (
     conjugate,
     cycle_type,
     inverse,
+    orbits,
 )
 from hurmono.sheets import (
     _orbit_representatives,
+    _scan,
     _sheets_of_unmarked_class,
     coordinate_reader,
     first_marking,
@@ -138,20 +141,30 @@ def test_oracle_equivalence_other_fiber_counts(profiles):
 )
 def test_orbit_representatives_are_a_transversal(p_mus):
     # the tuples after the prefix (p,) are a transversal of the Z(p)-orbits,
-    # under simultaneous conjugation, of the product of one or two classes
+    # under simultaneous conjugation, of the product of one or two classes,
+    # each yielded with its stabilizer
     p, mus = p_mus
     group = centralizer(p)
     classes = [conjugacy_class(mu, len(p)) for mu in mus]
-    found = list(_orbit_representatives((p,), classes, group))
-    assert all(r[0] == p for r in found)
-    reps = [r[1:] for r in found]
+    table = {}
+    found = list(_orbit_representatives((p,), classes, group, table))
+    assert all(r[0] == p for r, _ in found)
+    reps = [r[1:] for r, _ in found]
     assert reps == sorted(reps)
     orbits = [{tuple(conjugate(z, x) for x in r) for z in group} for r in reps]
     assert all(r == min(orbit) for r, orbit in zip(reps, orbits))
     assert all(a.isdisjoint(b) for a, b in itertools.combinations(orbits, 2))
     # orbit-stabilizer: |orbit of r| = |Z(p)| / |Stab(r)|, and the orbits cover the product
-    stabilizers = [sum(1 for z in group if all(conjugate(z, x) == x for x in r)) for r in reps]
-    assert sum(len(group) // k for k in stabilizers) == math.prod(map(len, classes))
+    stabilizers = [[z for z in group if all(conjugate(z, x) == x for x in r)] for r in reps]
+    assert [list(stab) for _, stab in found] == stabilizers
+    assert sum(len(group) // len(k) for k in stabilizers) == math.prod(map(len, classes))
+    # the table: every member q of the first class to its orbit's least member
+    # and the first z in group order that conjugates that member to q
+    if len(group) > 1:
+        assert table.keys() == set(classes[0])
+        for q, (head, z, _) in table.items():
+            assert head == min(conjugate(y, q) for y in group)
+            assert z == next(y for y in group if conjugate(y, head) == q)
 
 
 def test_sheets_are_canonical_sorted_and_valid():
@@ -244,13 +257,13 @@ def test_scan_emits_canonical_forms_once_in_order(monkeypatch):
 
 def test_base_marking_is_the_first_marking():
     spec = make_spec("4", "1", "2,2^4")
-    for perms in unmarked_classes(spec):
+    for perms, aut in zip(*_scan(spec)[:2]):
         first = first_marking(perms)
         assert first == tuple(enumerate_markings(p, mu)[0] for p, mu in zip(perms, spec.profiles))
         # the first marking reads e on the label points, and e is in H_U
         e = tuple(range(sum(map(len, spec.profiles))))
-        assert coordinate_reader(perms)(first) == e
-        stabilizer = label_stabilizer(perms)
+        assert coordinate_reader(perms)(first, tuple(range(spec.d))) == e
+        stabilizer = label_stabilizer(perms, aut)
         assert e in stabilizer
         assert marking_group_order(spec) % len(stabilizer) == 0
 
@@ -294,7 +307,8 @@ def test_marking_coordinates(case):
         itertools.product(*(enumerate_markings(p, mu) for p, mu in zip(perms, spec.profiles))),
         key=lambda labels: o_key(perms, labels),
     )
-    read = coordinate_reader(perms)
+    e = tuple(range(len(perms[0])))
+    read = functools.partial(coordinate_reader(perms), v=e)
     coords = [read(labels) for labels in markings]
     assert coords == sorted(group)
     # H_U: the transports of the first marking by Aut(U), found by filtering S_d
@@ -304,8 +318,11 @@ def test_marking_coordinates(case):
         for w in itertools.permutations(range(len(perms[0])))
         if all(conjugate(w, p) == p for p in perms)
     ]
-    stabilizer = label_stabilizer(perms)
+    stabilizer = label_stabilizer(perms, aut)
     assert stabilizer == {read(transport_labels(w, first)) for w in aut}
+    # reading through w^-1 is reading after the transport by w
+    for w in aut:
+        assert coordinate_reader(perms)(first, inverse(w)) == read(transport_labels(w, first))
     # each swept sheet's coordinate is the least element of its coset, and
     # the cosets of the sheets partition G; the table sends every element of
     # G to the index, counted from start, of the sheet whose coset holds it
@@ -455,3 +472,19 @@ def test_pre_check_rejects_only_empty_spaces_by_oracle():
         for sig in signatures(3):
             if not splits_among_components(spec_for(sig, profiles)):
                 assert sig not in realized, (sig, profiles)
+
+
+def test_scan_aut_is_the_coset_scans_achievers():
+    # the group the scan reaches at each class U is Aut(U): the achievers of
+    # the coset scan, on every golden class and every class of every nonempty
+    # space at d <= 5, swaps of isomorphic orbits included
+    specs = [row.spec for row in default_rows()]
+    for d in (3, 4, 5):
+        for profiles in itertools.combinations_with_replacement(all_partitions(d), 4):
+            specs += [spec_for(sig, profiles) for sig in realized_signatures(profiles)]
+    swaps = 0
+    for spec in specs:
+        for u, aut in zip(*_scan(spec)[:2]):
+            assert set(aut) == set(_unmarked_minimum(u)[1]), (spec, u)
+            swaps += any(set(map(z.__getitem__, o)) != set(o) for z in aut for o in orbits(u))
+    assert swaps > 0
