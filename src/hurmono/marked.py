@@ -181,6 +181,7 @@ def _least_of_class(mu: Partition, d: int) -> tuple[Perm, tuple[Cycle, ...], tup
     return least, cycle_decomposition(least), centralizer(least)
 
 
+@lru_cache(maxsize=4096)
 def _onto_least(p: Perm) -> Perm:
     """w_0: sends the cycles of p onto those of the least of its class, in
     canonical order, so that w_0 p w_0^-1 is that least member."""
@@ -225,8 +226,8 @@ def canonicalize(t: MarkedTuple) -> MarkedTuple:
 
     Two-stage: the images first, over one centralizer coset
     (``_unmarked_minimum``), then the markings over its achievers, each read
-    on the cycle starts of the canonical images.  The class scans behind the
-    coset check the degree first, so d > MAX_DEGREE raises TooLargeError there.
+    on the cycle starts of the canonical images.  The builders of the class and
+    the coset check the degree first, so d > MAX_DEGREE raises TooLargeError there.
     It serves the API and the tests; the pipeline reads the scan's tables.
     """
     cu, achievers = _unmarked_minimum(t.perms)

@@ -74,10 +74,9 @@ from .sheets import (
 )
 
 
-def half_twist(
-    perms: tuple[Perm, ...], labels: tuple[LabelVector, ...], i: int, sign: int
-) -> tuple[tuple[Perm, ...], tuple[LabelVector, ...]]:
-    """b_i (sign > 0) or b_i^-1 (sign < 0) on fibers i and i+1, counted from 1."""
+def half_twist(perms: list[Perm], labels: list[LabelVector], i: int, sign: int) -> None:
+    """b_i (sign > 0) or b_i^-1 (sign < 0) on fibers i and i+1, counted from 1,
+    in place on the lists ``perms`` and ``labels``."""
     a, b = perms[i - 1], perms[i]
     # one loop conjugates p by w, sending w(x) to w(p(x)), and moves x's label to w(x)
     w, p, lab = (a, b, labels[i]) if sign > 0 else (inverse(b), a, labels[i - 1])
@@ -85,10 +84,11 @@ def half_twist(
     for x, y in enumerate(w):
         image[y], moved[y] = w[p[x]], lab[x]
     if sign > 0:
-        pair, marks = (tuple(image), a), (tuple(moved), labels[i - 1])
+        perms[i - 1], perms[i] = tuple(image), a
+        labels[i - 1], labels[i] = tuple(moved), labels[i - 1]
     else:
-        pair, marks = (b, tuple(image)), (labels[i], tuple(moved))
-    return perms[: i - 1] + pair + perms[i + 1 :], labels[: i - 1] + marks + labels[i + 1 :]
+        perms[i - 1], perms[i] = b, tuple(image)
+        labels[i - 1], labels[i] = labels[i], tuple(moved)
 
 
 # At boundary point b, fiber COLLIDING[b] collides with fiber 4.  WORDS[b] is the
@@ -119,10 +119,10 @@ def _braid_move(word: tuple[int, ...]):
     def move(t: MarkedTuple) -> MarkedTuple:
         if t.m != 4:
             raise SpecError("monodromy requires exactly 4 marked fibers")
-        perms, labels = t.perms, t.labels
+        perms, labels = list(t.perms), list(t.labels)
         for k in word:
-            perms, labels = half_twist(perms, labels, abs(k), k)
-        return MarkedTuple(perms=perms, labels=labels)
+            half_twist(perms, labels, abs(k), k)
+        return MarkedTuple(perms=tuple(perms), labels=tuple(labels))
 
     return move
 
@@ -230,6 +230,7 @@ def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
         raise SpecError("monodromy requires exactly 4 marked fibers")
     classes, auts, locate = _scan(spec)
     stabilizers, target, voltage = class_graph(spec, classes, auts, locate)
+    del locate  # and with it the scan's orbit tables, before the sweep
     lifted = _lift(spec, classes, stabilizers, target, voltage)
     # coordinates[u]: the coordinate of each sheet over class u; tables[u]:
     # every element of G to the index of the sheet over u whose coset holds it

@@ -24,18 +24,24 @@ orbits are sorted inside and listed by minimum.
 
 MAX_DEGREE = 9 is the package's one degree guard, and ``check_degree`` is its
 one comparison: it raises TooLargeError above the bound and DegreeError below
-1.  Every scan over S_d (conjugacy classes, centralizers) calls it before
-its first permutation; the canonical forms of ``hurmono.marked`` scan one
-coset of a centralizer built by those scans.  ``sheets.unmarked_classes``
-calls it too, before its emptiness pre-check, so a space over the guard is
-refused even when it is provably empty and no scan runs.
+1.  No scan over S_d is left: the two builders, ``conjugacy_class`` (from
+the partition) and ``centralizer`` (the product over cycle lengths l of
+C_l wr S_{m_l}), call it before they build, and the canonical forms of
+``hurmono.marked`` scan one coset of a centralizer built there.
+``sheets.unmarked_classes`` calls it too, before its emptiness pre-check, so
+a space over the guard is refused even when it is provably empty.
+
+Each fact about one permutation is computed once: ``inverse``,
+``cycle_decomposition``, ``cycle_type`` and ``marked._onto_least`` keep
+bounded caches of 4096 entries.  ``compose`` and ``conjugate`` have none:
+their pairs of arguments rarely repeat.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 Perm = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -78,18 +84,15 @@ def compose(p: Perm, q: Perm) -> Perm:
     """
     if len(p) != len(q):
         raise DegreeError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(p[x] for x in q)
+    return tuple([p[x] for x in q])
 
 
 def compose_all(perms) -> Perm:
     """Left-to-right product p_1 * p_2 * ... * p_k (p_k acts first)."""
-    perms = list(perms)
-    out = perms[0]
-    for p in perms[1:]:
-        out = compose(out, p)
-    return out
+    return reduce(compose, perms)
 
 
+@lru_cache(maxsize=4096)
 def inverse(p: Perm) -> Perm:
     """The inverse permutation.
 
@@ -116,6 +119,7 @@ def conjugate(w: Perm, p: Perm) -> Perm:
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
 def cycle_decomposition(p: Perm) -> tuple[Cycle, ...]:
     """Disjoint cycles of p in canonical order, fixed points included.
 
@@ -162,6 +166,7 @@ def from_cycles(cycles, d: int) -> Perm:
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
 def cycle_type(p: Perm) -> Partition:
     """Cycle lengths in nonincreasing order, fixed points included.
 
@@ -209,21 +214,57 @@ def orbits(perms, d: int | None = None) -> tuple[tuple[int, ...], ...]:
 
 
 def centralizer(p: Perm) -> tuple[Perm, ...]:
-    """All w with conjugate(w, p) == p, in lexicographic order.
+    """All w with conjugate(w, p) == p, in lexicographic order: the product
+    over the cycle lengths l of p of C_l wr S_{m_l}, which permutes the m_l
+    cycles of length l and turns each image.
 
     >>> [perm_str(w) for w in centralizer(parse_perm("(1 2)", 4))]
     ['()', '(3 4)', '(1 2)', '(1 2)(3 4)']
     """
-    perms = itertools.permutations(range(check_degree(len(p))))
-    return tuple(w for w in perms if conjugate(w, p) == p)
+    check_degree(len(p))
+    cycles = cycle_decomposition(p)
+    blocks = []  # per cycle length, the images of its cycles' points, concatenated
+    for _, run in itertools.groupby(cycles, key=len):
+        run = tuple(run)
+        if len(run[0]) == 1:  # S_m itself on the fixed points, the only large block
+            blocks.append(list(itertools.permutations(sum(run, ()))))
+            continue
+        turns = [[c[k:] + c[:k] for k in range(len(c))] for c in run]
+        blocks.append([
+            sum(turned, ()) for order in itertools.permutations(turns)
+            for turned in itertools.product(*order)
+        ])
+    back = inverse(sum(cycles, ()))
+    return tuple(sorted(compose(sum(images, ()), back) for images in itertools.product(*blocks)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # keyed by (cycle type, d): at most 96 entries for d <= 9
 def conjugacy_class(mu: Partition, d: int) -> tuple[Perm, ...]:
-    """All permutations of degree d with cycle type mu, in lexicographic order."""
+    """All permutations of degree d with cycle type mu, in lexicographic order.
+
+    Built from the partition: the least point not yet placed starts a cycle
+    of each length left in mu, followed by every arrangement of other points.
+    """
     if sum(mu) != d:
         raise ValueError(f"partition {mu} has weight {sum(mu)}, expected {d}")
-    return tuple(p for p in itertools.permutations(range(check_degree(d))) if cycle_type(p) == mu)
+    image, out = list(range(check_degree(d))), []
+
+    def place(points: list[int], lengths: list[int]) -> None:
+        if not points:
+            out.append(tuple(image))
+            return
+        start, rest = points[0], points[1:]
+        for length in set(lengths):
+            left = list(lengths)
+            left.remove(length)
+            for tail in itertools.permutations(rest, length - 1):
+                for a, b in zip((start, *tail), (*tail, start)):
+                    image[a] = b
+                place([x for x in rest if x not in tail], left)
+
+    if is_partition(mu):  # any other mu is the cycle type of no permutation
+        place(list(range(d)), list(mu))
+    return tuple(sorted(out))
 
 
 def group_order(gens, n: int) -> int:

@@ -235,7 +235,7 @@ def coordinate_reader(perms):
         # a cycle starts at its least point, the first one carrying its label
         base = len(starts) - 1
         starts += [(i, lab.index(j), base) for j in range(1, max(lab) + 1)]
-    return lambda labels, v: tuple(base + labels[i][v[x]] for i, x, base in starts)
+    return lambda labels, v: tuple([base + labels[i][v[x]] for i, x, base in starts])
 
 
 def label_stabilizer(perms, aut) -> frozenset[Perm]:

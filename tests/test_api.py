@@ -76,6 +76,39 @@ def test_every_function_in_src_has_a_caller():
     assert orphans == []
 
 
+# Caches whose key domain is finite, named in a comment on the decorator's line:
+# (cycle type, d), at most 96 entries for d <= 9.
+UNBOUNDED_CACHES = {"marked._least_of_class", "perms.conjugacy_class"}
+
+
+def test_every_cache_is_bounded():
+    # ROADMAP: caches must be bounded.  Every lru_cache (and functools.cache)
+    # in src/ has a literal finite maxsize, but for UNBOUNDED_CACHES
+    package = pathlib.Path(hurmono.__file__).resolve().parent
+    unbounded = set()
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                func = call.func if call else dec
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "cache":
+                    maxsize = None
+                elif name == "lru_cache":
+                    args = [*call.args, *(k.value for k in call.keywords)] if call else []
+                    maxsize = ast.literal_eval(args[0]) if args else 128
+                else:
+                    continue
+                if not isinstance(maxsize, int):
+                    assert "keyed by" in lines[dec.lineno - 1], f"{path.stem}.{node.name}"
+                    unbounded.add(f"{path.stem}.{node.name}")
+    assert unbounded <= UNBOUNDED_CACHES
+
+
 def test_moved_names_keep_their_old_imports():
     # TooLargeError lives in perms, next to the one degree guard; marked re-exports it
     from hurmono import marked, moves, perms

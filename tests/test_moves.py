@@ -110,8 +110,10 @@ def test_boundary_relation_on_every_tuple(t):
     assert moved == (tuple(o_conjugate(s4, p) for p in t.perms), o_transport(s4, t.labels))
     for i in (1, 2, 3):
         for sign in (1, -1):
-            there = half_twist(t.perms, t.labels, i, sign)
-            assert half_twist(*there, i, -sign) == (t.perms, t.labels)
+            perms, labels = list(t.perms), list(t.labels)
+            half_twist(perms, labels, i, sign)
+            half_twist(perms, labels, i, -sign)
+            assert (perms, labels) == (list(t.perms), list(t.labels))
 
 
 def test_words_are_pure_braids():

@@ -3,7 +3,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hurmono.marked
@@ -170,29 +170,55 @@ def _zmu(mu):
     return z
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
 def test_conjugacy_class_sizes(d):
-    from oracle import all_partitions
+    from oracle import all_partitions, o_class
 
     total = 0
     for mu in all_partitions(d):
         cls = conjugacy_class(mu, d)
         assert len(cls) == math.factorial(d) // _zmu(mu)
-        assert all(cycle_type(p) == mu for p in cls)
-        assert len(set(cls)) == len(cls)
-        # lexicographic: the scan's orbit representatives are first in class order
-        assert list(cls) == sorted(cls)
+        # built from the partition, it is S_d filtered by cycle type, in
+        # lexicographic order: the scan's orbit representatives are first in class order
+        assert list(cls) == o_class(mu, d)
         total += len(cls)
     assert total == math.factorial(d)
 
 
+def _class_members(max_degree):
+    """The first and middle member of every conjugacy class of degree at most
+    ``max_degree``, from one pass of the oracle over S_d in lexicographic order."""
+    from oracle import o_cycle_type
+
+    for d in range(1, max_degree + 1):
+        classes = {}
+        for p in itertools.permutations(range(d)):
+            classes.setdefault(o_cycle_type(p), []).append(p)
+        for cls in classes.values():
+            yield from (cls[0], cls[len(cls) // 2])
+
+
+def _with_examples(inputs):
+    def decorate(test):
+        for p in inputs:
+            test = example(p)(test)
+        return test
+
+    return decorate
+
+
+@settings(deadline=None)
+@_with_examples(_class_members(7))
 @given(st.integers(1, 6).flatmap(perms_of_degree))
 def test_centralizer_order(p):
+    from oracle import o_conjugate
+
     # |Z(p)| = prod over cycle lengths l of l^{m_l} * m_l!
     cent = centralizer(p)
     assert len(cent) == _zmu(cycle_type(p))
-    assert list(cent) == sorted(cent)
-    assert all(compose(w, p) == compose(p, w) for w in cent)
+    # the product of wreath products is S_d filtered by w p w^-1 = p, in lexicographic order
+    sd = itertools.permutations(range(len(p)))
+    assert list(cent) == [w for w in sd if o_conjugate(w, p) == p]
 
 
 @st.composite
@@ -260,8 +286,9 @@ def test_degree_guards():
         compose((0, 1), (0,))
 
 
-# Every S_d scan meets the one guard in check_degree, so each entry point
-# refuses MAX_DEGREE + 1 with the same TooLargeError and the same text.
+# Both builders, of a class and of a centralizer, meet the one guard in
+# check_degree before they build, so each entry point refuses MAX_DEGREE + 1
+# with the same TooLargeError and the same text.
 BIG = MAX_DEGREE + 1
 TOO_LARGE = f"instance too large: degree must be at most {MAX_DEGREE}, got {BIG}"
 ONES = ",".join(["1"] * BIG)
