@@ -125,7 +125,7 @@ def _report_json(graph, reports) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "spec": _spec_json(graph.spec),
-        "sheet_count": len(graph.sheets),
+        "sheet_count": len(graph.perms),
         "boundary_product_is_identity": True,  # build_sheet_graph checks it
         "components": [
             {
@@ -155,7 +155,7 @@ def cmd_report(args) -> int:
                 out.write(
                     _boundary_line("s", lambda b: perm_str(_local_restriction(graph, r, b)))
                 )
-        out.write(f"total {len(graph.sheets)} sheets in {len(reports)} components\n")
+        out.write(f"total {len(graph.perms)} sheets in {len(reports)} components\n")
         if args.verbose:
             # build_sheet_graph raises unless the relation holds
             out.write("s_zero*s_one*s_infty is identity: yes\n")

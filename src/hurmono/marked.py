@@ -126,6 +126,27 @@ class HurwitzSpec(_SpecFields):
 # markings
 
 
+def fiber_coordinates(mu: Partition, base: int) -> tuple[tuple[int, ...], ...]:
+    """G's factor for one fiber, ascending: per run of equal parts of mu, every
+    arrangement of that run's label points, counted from ``base``."""
+    runs, start = [], base
+    for _, run in itertools.groupby(mu):
+        n = len(list(run))
+        runs.append(itertools.permutations(range(start, start + n)))
+        start += n
+    return tuple(tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*runs))
+
+
+def marking_of(p: Perm, part, base: int) -> LabelVector:
+    """The marking of p whose coordinate part is ``part``: the j-th cycle of p
+    in canonical order gets label part[j] - base + 1."""
+    lab = [0] * len(p)
+    for cyc, point in zip(cycle_decomposition(p), part):
+        for x in cyc:
+            lab[x] = point - base + 1
+    return tuple(lab)
+
+
 def enumerate_markings(p: Perm, mu: Partition) -> tuple[LabelVector, ...]:
     """All valid point-label vectors for p under profile mu, ascending.
 
@@ -136,27 +157,9 @@ def enumerate_markings(p: Perm, mu: Partition) -> tuple[LabelVector, ...]:
     2
     """
     mu = tuple(mu)
-    cycles = cycle_decomposition(p)
-    lengths = tuple([len(c) for c in cycles])
-    if lengths != mu:
-        raise ValueError(f"cycle type {lengths} does not match profile {mu}")
-    # Canonical cycle order puts equal lengths contiguously (lengths descend),
-    # so a marking is a choice, per length, of a permutation of that length's
-    # label indices; iterating each block's permutations lexicographically
-    # yields vectors whose labels, read in cycle order, ascend.
-    blocks = [
-        [j + 1 for j, part in enumerate(mu) if part == length]
-        for length, _ in itertools.groupby(lengths)
-    ]
-    out = []
-    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        flat = itertools.chain.from_iterable(choice)
-        lab = [0] * len(p)
-        for cyc, label in zip(cycles, flat):
-            for x in cyc:
-                lab[x] = label
-        out.append(tuple(lab))
-    return tuple(out)
+    if cycle_type(p) != mu:
+        raise ValueError(f"cycle type {cycle_type(p)} does not match profile {mu}")
+    return tuple(marking_of(p, part, 0) for part in fiber_coordinates(mu, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +200,16 @@ def _onto_least(p: Perm) -> Perm:
 def _unmarked_minimum(perms: tuple[Perm, ...]) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
     """Minimum of the conjugacy orbit of ``perms`` and all w achieving it, ascending.
 
-    The fibers before sigma_f, the first that is not the identity (f = 1 if
-    none is), stay e under every w, and the least conjugate of sigma_f is
-    m_f, the least member of its class.  So the minimum has m_f in place f,
-    and it is reached only on {w : w sigma_f w^-1 = m_f} = Z(m_f) w_0, where
-    w_0 sends the cycles of sigma_f onto those of m_f in canonical order.
+    The fibers before sigma_f, the first that is not the identity, stay e
+    under every w, and the least conjugate of sigma_f is m_f, the least
+    member of its class.  So the minimum has m_f in place f, and it is
+    reached only on {w : w sigma_f w^-1 = m_f} = Z(m_f) w_0, where w_0 sends
+    the cycles of sigma_f onto those of m_f in canonical order.
     """
     d = len(perms[0])
-    f = next((i for i, p in enumerate(perms) if p != tuple(range(d))), 0)
+    f = next((i for i, p in enumerate(perms) if p != tuple(range(d))), None)
+    if f is None:  # every fiber is e: so is the minimum, reached by all of S_d
+        return perms, _least_of_class((1,) * d, d)[2]
     least, _, group = _least_of_class(cycle_type(perms[f]), d)
     w0 = _onto_least(perms[f])
     rest = perms[f + 1 :]

@@ -21,7 +21,7 @@ each move once per class, on the first marking, and checks that the moves
 permute the sheets and that zero, then one, then infty compose to the
 identity.  The sheet graph is the derived graph of this voltage assignment
 (Gross & Tucker, Discrete Math. 18, 1977): build_sheet_graph reads it off
-per sheet, through the coset tables the marking sweep builds.
+per sheet, a class and a coordinate, through the sweep's coset tables.
 
 The three sheet permutations generate the monodromy group of the target
 map, whose orbits are the connected components of the space.  _lift, the
@@ -70,6 +70,7 @@ from .sheets import (
     enumerate_sheets,
     first_marking,
     label_stabilizer,
+    marking_factors,
     marking_group_order,
 )
 
@@ -144,12 +145,12 @@ class LiftedComponent(NamedTuple):
 
 
 class SheetGraph(NamedTuple):
-    """Canonical sheets plus the three induced permutations of their indices,
-    keyed by BOUNDARY_LABELS, and ``lifted``, the space's lifted_components
-    computed from the same class graph."""
+    """``perms[k]``, the unmarked class of sheet k (enumerate_sheets(spec)[k].perms),
+    ``s``, the three induced permutations of the sheet indices keyed by
+    BOUNDARY_LABELS, and ``lifted``: lifted_components from the same class graph."""
 
     spec: HurwitzSpec
-    sheets: tuple[MarkedTuple, ...]
+    perms: tuple[tuple[Perm, ...], ...]
     s: Mapping[str, tuple[int, ...]]
     lifted: tuple[LiftedComponent, ...]
 
@@ -223,8 +224,8 @@ def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
 
     The marking sweep of each class U' tables every element of G to the
     sheet over U' whose coset holds it; that table reads the image g k H_U'
-    of each sheet g H_U.  Raises as unmarked_classes does, and
-    InvariantViolation where class_graph and lifted_components do.
+    of each sheet g H_U, and no label is made.  Raises as unmarked_classes
+    does, and InvariantViolation where class_graph and lifted_components do.
     """
     if spec.m != 4:
         raise SpecError("monodromy requires exactly 4 marked fibers")
@@ -234,13 +235,12 @@ def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
     lifted = _lift(spec, classes, stabilizers, target, voltage)
     # coordinates[u]: the coordinate of each sheet over class u; tables[u]:
     # every element of G to the index of the sheet over u whose coset holds it
-    sheets, coordinates, tables = [], [], []
-    for perms, stabilizer in zip(classes, stabilizers):
-        swept, coords, table = _sheets_of_unmarked_class(perms, spec, stabilizer, len(sheets))
-        sheets += swept
+    factors, perms, coordinates, tables = marking_factors(spec), [], [], []
+    for u, stabilizer in zip(classes, stabilizers):
+        coords, table = _sheets_of_unmarked_class(factors, stabilizer, len(perms))
+        perms += [u] * len(coords)
         coordinates.append(coords)
         tables.append(table)
-    sheets = tuple(sheets)
     maps = {}
     for b in BOUNDARY_LABELS:
         images = []
@@ -248,7 +248,7 @@ def build_sheet_graph(spec: HurwitzSpec) -> SheetGraph:
             get, table = itemgetter(*k), tables[v]
             images += [table[get(g)] for g in coords]
         maps[b] = tuple(images)
-    return SheetGraph(spec=spec, sheets=sheets, s=maps, lifted=lifted)
+    return SheetGraph(spec=spec, perms=tuple(perms), s=maps, lifted=lifted)
 
 
 def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
@@ -264,8 +264,8 @@ def components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     """
     lifted = {u: c for c in graph.lifted for u in c.classes}
     reports = []
-    for orbit in orbits([graph.s[b] for b in BOUNDARY_LABELS], len(graph.sheets)):
-        c = lifted[graph.sheets[orbit[0]].perms]
+    for orbit in orbits([graph.s[b] for b in BOUNDARY_LABELS], len(graph.perms)):
+        c = lifted[graph.perms[orbit[0]]]
         reports.append(ComponentReport(orbit, c.degree, c.genus, c.ram, c.nodes))
     reports.sort(
         key=lambda r: (

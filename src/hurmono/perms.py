@@ -89,6 +89,8 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 def compose_all(perms) -> Perm:
     """Left-to-right product p_1 * p_2 * ... * p_k (p_k acts first)."""
+    if not (perms := tuple(perms)):
+        raise ValueError("the product of no permutations needs an explicit degree")
     return reduce(compose, perms)
 
 

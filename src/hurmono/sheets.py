@@ -22,15 +22,17 @@ conjugator, so neither the moves nor H_U scan a coset.
 
 A marking of U is encoded by its coordinate in the marking group G (per
 fiber, the relabelings of equal-length cycles), which acts freely and
-transitively on the markings of U.  The sheets over U are therefore the
-cosets g H_U, H_U the image of Aut(U) in G (label_stabilizer), and
-count_sheets sums |G|/|H_U| without the sweep.  The sweep walks the
-coordinates of U in ascending order and enters the coset of each one not in
-its table yet, so it keeps the least of each coset: a canonical sheet.  The
-table, each g in G to its sheet's index, is moves.build_sheet_graph's index.
-Nothing sorts the sheets: the classes are swept in ascending order, tuple_key
-compares the permutations first, and ascending coordinates are ascending
-labels read in canonical cycle order.  The sheets of one class are contiguous.
+transitively on the markings of U; G depends on the profiles alone
+(marking_factors), and marked.marking_of turns a coordinate into a marking.
+The sheets over U are the cosets g H_U, H_U the image of Aut(U) in G
+(label_stabilizer), and count_sheets sums |G|/|H_U| without the sweep.  The
+sweep walks G in ascending order and enters the coset of each coordinate not
+in its table yet, so it keeps the least of each coset: a canonical sheet.
+The table, each g in G to its sheet's index, is moves.build_sheet_graph's
+index; only enumerate_sheets makes the sheets' labels.  Nothing sorts the
+sheets: the classes are swept in ascending order, tuple_key compares the
+permutations first, and ascending coordinates are ascending labels read in
+canonical cycle order.  The sheets of one class are contiguous.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import getitem, itemgetter
+from operator import itemgetter
 
 from .marked import (
     HurwitzSpec,
@@ -46,11 +48,13 @@ from .marked import (
     MarkedTuple,
     _least_of_class,
     _onto_least,
-    enumerate_markings,
+    fiber_coordinates,
+    marking_of,
     signature_of_perms,
     splits_among_components,
     # Not called: the benchmark's tracer wraps these names until ROADMAP item 1.
     _unmarked_minimum,
+    enumerate_markings,
     tuple_key,
 )
 from .perms import (
@@ -135,12 +139,15 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
     tuples; raises as unmarked_classes does.
     """
     classes, auts, _ = _scan(spec)
-    return tuple(
-        itertools.chain.from_iterable(
-            _sheets_of_unmarked_class(u, spec, label_stabilizer(u, aut), 0)[0]
-            for u, aut in zip(classes, auts)
-        )
-    )
+    factors, out = marking_factors(spec), []
+    points = itertools.accumulate(map(len, spec.profiles), initial=0)
+    cuts = list(itertools.starmap(slice, itertools.pairwise(points)))  # each fiber's label points
+    for u, aut in zip(classes, auts):
+        # per fiber, the marking of each coordinate part, shared by the sheets
+        marks = [{q: marking_of(p, q, c.start) for q in f} for p, f, c in zip(u, factors, cuts)]
+        coordinates, _ = _sheets_of_unmarked_class(factors, label_stabilizer(u, aut), 0)
+        out += [MarkedTuple(u, tuple([m[g[c]] for m, c in zip(marks, cuts)])) for g in coordinates]
+    return tuple(out)
 
 
 def _orbit_representatives(prefix, classes, group, table):
@@ -164,35 +171,28 @@ def _orbit_representatives(prefix, classes, group, table):
             yield from _orbit_representatives((*prefix, p), classes[1:], stabilizer, child)
 
 
-def _sheets_of_unmarked_class(perms, spec: HurwitzSpec, stabilizer, start: int):
-    """The canonical sheets over the (canonical) ``perms``, given H_U =
-    ``stabilizer``: (sheets, their coordinates, table).
-
-    Walks the coordinates of the markings in ascending order; each one not in
-    the table yet is the least of its coset g H_U, hence canonical, and its
-    coset enters the table, every element mapped to one shared int: the
-    sheet's index, counted from ``start``.
-    """
-    # per fiber i, each part of a coordinate to the marking of sigma_i it reads
-    parts, offset = [], -1
-    for p, mu in zip(perms, spec.profiles):
-        firsts = [cyc[0] for cyc in cycle_decomposition(p)]  # as tuple_key reads them
-        markings = enumerate_markings(p, mu)
-        parts.append({tuple(offset + lab[x] for x in firsts): lab for lab in markings})
-        offset += len(mu)
+def _sheets_of_unmarked_class(factors, stabilizer, start: int):
+    """(coordinates, table) of the canonical sheets over one class, given G's
+    ``factors`` (marking_factors) and H_U = ``stabilizer``.  Walks G in
+    ascending order; each coordinate not in the table yet is the least of its
+    coset g H_U, hence canonical, and every element of that coset enters the
+    table, mapped to one shared int: the sheet's index, counted from ``start``."""
     getters = [itemgetter(*h) for h in stabilizer]
-    sheets, coordinates, table = [], [], {}
-    for coordinate_parts in itertools.product(*parts):
-        g = tuple(itertools.chain.from_iterable(coordinate_parts))
-        if g in table:
-            continue
-        n = start + len(sheets)
-        for get in getters:
-            table[get(g)] = n
-        labels = tuple(map(getitem, parts, coordinate_parts))
-        sheets.append(MarkedTuple(perms=perms, labels=labels))
-        coordinates.append(g)
-    return sheets, coordinates, table
+    coordinates, table = [], {}
+    for parts in itertools.product(*factors):
+        g = tuple(itertools.chain.from_iterable(parts))
+        if g not in table:
+            for get in getters:
+                table[get(g)] = start + len(coordinates)
+            coordinates.append(g)
+    return coordinates, table
+
+
+def marking_factors(spec: HurwitzSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """G's factors, one per fiber, from the profiles alone: fiber i's
+    fiber_coordinates from its first label point n_1 + ... + n_{i-1}."""
+    bases = itertools.accumulate(map(len, spec.profiles), initial=0)
+    return tuple(map(fiber_coordinates, spec.profiles, bases))
 
 
 def marking_group_order(spec: HurwitzSpec) -> int:
@@ -206,17 +206,9 @@ def marking_group_order(spec: HurwitzSpec) -> int:
 
 @lru_cache(maxsize=65536)
 def first_marking(perms) -> tuple[LabelVector, ...]:
-    """The first vector of enumerate_markings on every fiber: the j-th cycle
-    of sigma_i in canonical order carries label j.  Its coordinate is e.
-    Cached, as coordinate_reader is: the class graph and H_U both use them."""
-    out = []
-    for p in perms:
-        lab = [0] * len(p)
-        for j, cyc in enumerate(cycle_decomposition(p), start=1):
-            for x in cyc:
-                lab[x] = j
-        out.append(tuple(lab))
-    return tuple(out)
+    """The marking of coordinate e, label j on the j-th cycle of each fiber;
+    cached, as coordinate_reader is: the class graph and H_U both use them."""
+    return tuple([marking_of(p, itertools.count(), 0) for p in perms])
 
 
 @lru_cache(maxsize=65536)
@@ -231,10 +223,9 @@ def coordinate_reader(perms):
     Aut(perms) sends it to g h_z^-1, h_z the permutation of the cycles by z.
     """
     starts: list[tuple[int, int, int]] = []  # (fiber, first point of a cycle, base)
-    for i, lab in enumerate(first_marking(perms)):
-        # a cycle starts at its least point, the first one carrying its label
+    for i, p in enumerate(perms):
         base = len(starts) - 1
-        starts += [(i, lab.index(j), base) for j in range(1, max(lab) + 1)]
+        starts += [(i, cyc[0], base) for cyc in cycle_decomposition(p)]
     return lambda labels, v: tuple([base + labels[i][v[x]] for i, x, base in starts])
 
 

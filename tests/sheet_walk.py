@@ -2,7 +2,8 @@
 
 walk_components walks every cycle of the three sheet permutations and
 computes each component's degree, genus, ram and node profiles from the
-sheets themselves, with no use of the class graph or of the lift.  The tests
+marked sheets themselves (enumerate_sheets, in the graph's index order),
+with no use of the class graph or of the lift.  The tests
 compare hurmono.components, which reads that data off the lift, with it.
 """
 
@@ -13,6 +14,7 @@ import math
 from hurmono.marked import InvariantViolation, riemann_hurwitz_genus
 from hurmono.moves import BOUNDARY_LABELS, ComponentReport, SheetGraph, node_product
 from hurmono.perms import Partition, cycle_decomposition, cycle_type, orbits
+from hurmono.sheets import enumerate_sheets
 
 
 def _check_full_twist(length: int, profile: Partition, boundary: str, spec) -> None:
@@ -39,9 +41,10 @@ def walk_components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     divide the order of its node product: the move around b conjugates the
     colliding pair by that product, so that power of s[b] is the identity.
     """
-    n = len(graph.sheets)
+    n = len(graph.perms)
     if n == 0:
         return ()
+    sheets = enumerate_sheets(graph.spec)
     comps = orbits([graph.s[b] for b in BOUNDARY_LABELS], n)
     comp_of = [0] * n
     for k, orbit in enumerate(comps):
@@ -55,7 +58,7 @@ def walk_components(graph: SheetGraph) -> tuple[ComponentReport, ...]:
     cycles = {b: [[] for _ in comps] for b in BOUNDARY_LABELS}
     for b in BOUNDARY_LABELS:
         for c in cycle_decomposition(graph.s[b]):
-            t = graph.sheets[c[0]]
+            t = sheets[c[0]]
             if (t.perms, b) not in profiles:
                 profiles[t.perms, b] = cycle_type(node_product(t, b))
             profile = profiles[t.perms, b]

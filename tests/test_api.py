@@ -26,6 +26,7 @@ from hurmono import (
     build_sheet_graph,
     components,
     default_rows,
+    enumerate_sheets,
     make_spec,
     verify_all,
 )
@@ -195,7 +196,7 @@ def test_records_are_immutable():
     graph = build_sheet_graph(make_spec("2,1", "0,0", "2,1;2,1;1,1,1;1,1,1"))
     summary = verify_all(default_rows()[:1])
     records = [
-        (MarkedTuple, graph.sheets[0], "perms"),
+        (MarkedTuple, enumerate_sheets(graph.spec)[0], "perms"),
         (HurwitzSpec, graph.spec, "degrees"),
         (GoldenRow, summary.verdicts[0].row, "line_no"),
         (RowVerdict, summary.verdicts[0], "passed"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import (
+    o_canonical,
     o_check_marked_tuple,
     o_conjugate,
     o_key,
@@ -25,6 +26,7 @@ from hurmono import (
     node_product,
     tuple_key,
 )
+from hurmono import marked
 from hurmono.marked import (
     InvariantViolation,
     _unmarked_minimum,
@@ -34,6 +36,7 @@ from hurmono.marked import (
 )
 from hurmono.perms import (
     MAX_DEGREE,
+    centralizer,
     compose_all,
     conjugate,
     cycle_type,
@@ -155,11 +158,26 @@ def tuples_with_leading_identities(draw, max_degree=6):
 
 @settings(deadline=None)
 @given(tuples_with_leading_identities())
-@example((identity(6),) * 4)  # f falls back to 1 and the coset is all of S_6
+@example((identity(6),) * 4)  # every fiber is e: the achievers are all of S_6
 def test_unmarked_minimum_equals_the_exhaustive_scan(perms):
     images = {w: tuple(conjugate(w, p) for p in perms) for w in itertools.permutations(range(len(perms[0])))}
     best = min(images.values())
     assert _unmarked_minimum(perms) == (best, tuple(w for w in images if images[w] == best))
+
+
+def test_all_identity_tuple_conjugates_nothing(monkeypatch):
+    # the minimum of the all-e tuple is itself, reached by every w in S_d, so
+    # no conjugate is tried; the labels still take their minimum over S_d
+    calls = []
+    monkeypatch.setattr(marked, "conjugate", lambda w, p: calls.append(w) or conjugate(w, p))
+    e = identity(6)
+    assert _unmarked_minimum.__wrapped__((e,) * 4) == ((e,) * 4, centralizer(e))
+    assert calls == []
+    monkeypatch.undo()
+    for d in (1, 2, 3):
+        e = identity(d)
+        for labels in itertools.product(enumerate_markings(e, (1,) * d), repeat=4):
+            assert canonicalize(MarkedTuple((e,) * 4, labels)) == o_canonical((e,) * 4, labels)
 
 
 def test_canonicalize_degree_guard():

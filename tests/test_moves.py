@@ -193,7 +193,7 @@ GRAPH_SPECS = [
 @pytest.mark.parametrize("args", GRAPH_SPECS)
 def test_sheet_maps_are_bijections(args):
     graph = build_sheet_graph(make_spec(*args))
-    n = len(graph.sheets)
+    n = len(graph.perms)
     for b in ("zero", "one", "infty"):
         assert sorted(graph.s[b]) == list(range(n))
 
@@ -203,7 +203,7 @@ def test_boundary_product_relation(args):
     # zero acts first, then one, then infty
     graph = build_sheet_graph(make_spec(*args))
     product = compose_all((graph.s["infty"], graph.s["one"], graph.s["zero"]))
-    assert product == tuple(range(len(graph.sheets)))
+    assert product == tuple(range(len(graph.perms)))
 
 
 @pytest.mark.parametrize(
@@ -225,7 +225,7 @@ def test_graph_requires_four_fibers():
 
 def test_empty_graph():
     graph = build_sheet_graph(make_spec("2", "0", "2;1,1;1,1;1,1"))
-    assert graph.sheets == ()
+    assert graph.perms == ()
     assert components(graph) == ()
 
 
@@ -235,7 +235,7 @@ def test_components_partition_and_report():
     reports = components(graph)
     assert component_multiset(reports) == ((1, 0, 2), (1, 0, 6))
     all_indices = sorted(i for r in reports for i in r.sheet_indices)
-    assert all_indices == list(range(len(graph.sheets)))
+    assert all_indices == list(range(len(graph.perms)))
     for r in reports:
         assert r.degree == len(r.sheet_indices)
         for b in ("zero", "one", "infty"):
@@ -282,10 +282,11 @@ def test_graph_matches_per_sheet_moves():
     for spec in LIFT_SPECS:
         if spec == largest:
             continue
-        graph = marked_graph(spec)
-        index = {t: k for k, t in enumerate(graph.sheets)}
+        graph, sheets = marked_graph(spec), enumerate_sheets(spec)
+        assert graph.perms == tuple(t.perms for t in sheets), spec
+        index = {t: k for k, t in enumerate(sheets)}
         for b in BOUNDARY_LABELS:
-            expected = tuple(index[canonicalize(MOVES[b](t))] for t in graph.sheets)
+            expected = tuple(index[canonicalize(MOVES[b](t))] for t in sheets)
             assert graph.s[b] == expected, (spec, b)
 
 
@@ -304,9 +305,10 @@ def test_move_leaving_the_sheet_set_is_caught(monkeypatch):
 def test_full_twist_invariant_is_checked():
     # sigma_3 = sigma_4 = e, so every node product at infty is e and s_infty
     # is the identity; a 2-cycle in s_infty breaks the full-twist relation.
-    graph = build_sheet_graph(make_spec("2,1", "0,0", "2,1;2,1;1,1,1;1,1,1"))
-    assert all(cycle_type(node_product(t, "infty")) == (1, 1, 1) for t in graph.sheets)
-    assert graph.s["infty"] == tuple(range(len(graph.sheets)))
+    spec = make_spec("2,1", "0,0", "2,1;2,1;1,1,1;1,1,1")
+    graph = build_sheet_graph(spec)
+    assert all(cycle_type(node_product(t, "infty")) == (1, 1, 1) for t in enumerate_sheets(spec))
+    assert graph.s["infty"] == tuple(range(len(graph.perms)))
     walk_components(graph)
     swapped = (1, 0, *graph.s["infty"][2:])
     broken = graph._replace(s={**graph.s, "infty": swapped})
@@ -336,7 +338,7 @@ def test_lift_matches_marked_graph(spec):
     reports = walk_components(marked_graph(spec))
     assert components(marked_graph(spec)) == reports
     assert component_multiset(lifted) == component_multiset(reports)
-    assert sum(c.copies * c.degree for c in lifted) == len(marked_graph(spec).sheets)
+    assert sum(c.copies * c.degree for c in lifted) == len(marked_graph(spec).perms)
     expected = collections.Counter(component_data(r) for r in reports)
     got = collections.Counter()
     for c in lifted:
@@ -353,11 +355,11 @@ def test_marked_components_are_identical_copies(spec):
     home = {u: k for k, c in enumerate(lifted) for u in c.classes}
     over = [[] for _ in lifted]
     for r in walk_components(graph):
-        over[home[graph.sheets[r.sheet_indices[0]].perms]].append(r)
+        over[home[graph.perms[r.sheet_indices[0]]]].append(r)
     for c, reports in zip(lifted, over):
         assert len(reports) == c.copies
         assert {component_data(r) for r in reports} == {component_data(c)}
-        assert {graph.sheets[i].perms for r in reports for i in r.sheet_indices} == set(c.classes)
+        assert {graph.perms[i] for r in reports for i in r.sheet_indices} == set(c.classes)
 
 
 def test_lift_of_empty_space_and_fiber_count():
@@ -418,7 +420,8 @@ def count_calls(monkeypatch, name, *modules):
 
 def test_lift_lists_no_marking_and_report_scans_once(monkeypatch):
     # the lift works per class, so its cost does not grow with |G|; the
-    # sheet graph scans once and builds H_U and the fiber parts once per class
+    # sheet graph scans once, builds H_U once per class, and makes no label:
+    # neither a marking nor a marked tuple per sheet
     spec = make_spec("1,1,1,1", "0,0,0,0", "1,1,1,1^4")  # |G| = 24^4
     with monkeypatch.context() as patch:
         patch.setattr(sheets, "enumerate_markings", None)
@@ -427,10 +430,12 @@ def test_lift_lists_no_marking_and_report_scans_once(monkeypatch):
     scans = count_calls(monkeypatch, "_scan", moves, sheets)
     graphs = count_calls(monkeypatch, "class_graph", moves)
     stabilizers = count_calls(monkeypatch, "label_stabilizer", moves, sheets)
-    markings = count_calls(monkeypatch, "enumerate_markings", sheets)
-    assert len(build_sheet_graph(spec).sheets) == 12
+    markings = count_calls(monkeypatch, "enumerate_markings", marked, sheets)
+    tuples = count_calls(monkeypatch, "MarkedTuple", sheets)
+    assert len(build_sheet_graph(spec).perms) == 12
     assert scans == graphs == [spec]
-    assert (len(stabilizers), len(markings)) == (3, 12)
+    assert (len(stabilizers), len(markings), len(tuples)) == (3, 0, 0)
+    assert len(sheets.enumerate_sheets(spec)) == len(tuples) == 12  # the count sees them
     # the components of the report come from that one scan and class graph
     scans.clear()
     graphs.clear()
@@ -502,6 +507,6 @@ def test_pipeline_runs_no_coset_scan(monkeypatch):
     summary = verify_all()
     assert (summary.n_pass, summary.n_fail) == (50, 2)
     spec = make_spec("4", "1", "2,2^4")
-    assert sheets.count_sheets(spec) == len(build_sheet_graph(spec).sheets) == 12
+    assert sheets.count_sheets(spec) == len(build_sheet_graph(spec).perms) == 12
     assert lifted_components(spec)
     assert calls == []

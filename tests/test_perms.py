@@ -78,6 +78,11 @@ def test_compose_associative(pqr):
 
 def test_compose_all_empty_is_error_free_only_with_perms():
     assert compose_all([(0, 1, 2)]) == (0, 1, 2)
+    assert compose_all(iter([(1, 0), (1, 0)])) == (0, 1)
+    # no permutation gives no degree: a ValueError, as orbits raises
+    for empty in ((), [], iter(())):
+        with pytest.raises(ValueError, match="product of no permutations"):
+            compose_all(empty)
 
 
 @given(same_degree_pairs)

@@ -11,6 +11,7 @@ import hurmono.sheets
 from hurmono import (
     HurwitzSpec,
     TooLargeError,
+    build_sheet_graph,
     canonicalize,
     count_sheets,
     default_rows,
@@ -24,6 +25,7 @@ from hurmono import (
 from hurmono.marked import (
     _least_of_class,
     _unmarked_minimum,
+    marking_of,
     signature_of_perms,
     splits_among_components,
     transport_labels,
@@ -46,6 +48,7 @@ from hurmono.sheets import (
     coordinate_reader,
     first_marking,
     label_stabilizer,
+    marking_factors,
     marking_group_order,
     unmarked_classes,
 )
@@ -223,8 +226,12 @@ def test_degree_seven_counts_equal_the_gluing_counts(genera, profiles, n):
 
 def test_count_sheets_matches_enumeration_on_golden():
     # count_sheets sums |G|/|H_U| over the unmarked classes and lists no sheet
+    # and the sheet graph lists each sheet by its class, in enumerate_sheets' order
     for row in default_rows():
         assert count_sheets(row.spec) == len(enumerate_sheets(row.spec)), row.spec
+        assert build_sheet_graph(row.spec).perms == tuple(
+            t.perms for t in enumerate_sheets(row.spec)
+        ), row.spec
 
 
 def test_scan_fixes_sigma_1_to_the_least_of_its_class():
@@ -311,6 +318,12 @@ def test_marking_coordinates(case):
     read = functools.partial(coordinate_reader(perms), v=e)
     coords = [read(labels) for labels in markings]
     assert coords == sorted(group)
+    # marking_of, fiber by fiber on that fiber's label points, inverts the reader
+    ends = list(itertools.accumulate(map(len, spec.profiles)))
+    cuts = [slice(end - len(mu), end) for end, mu in zip(ends, spec.profiles)]
+    for g in group:
+        marking = tuple(marking_of(p, g[c], c.start) for p, c in zip(perms, cuts))
+        assert read(marking) == g
     # H_U: the transports of the first marking by Aut(U), found by filtering S_d
     first = first_marking(perms)
     aut = [
@@ -325,9 +338,11 @@ def test_marking_coordinates(case):
         assert coordinate_reader(perms)(first, inverse(w)) == read(transport_labels(w, first))
     # each swept sheet's coordinate is the least element of its coset, and
     # the cosets of the sheets partition G; the table sends every element of
-    # G to the index, counted from start, of the sheet whose coset holds it
+    # G to the index, counted from start, of the sheet whose coset holds it;
+    # the sheets enumerate_sheets lists over U read those coordinates, in order
     start = 5
-    swept, coordinates, table = _sheets_of_unmarked_class(perms, spec, stabilizer, start)
+    coordinates, table = _sheets_of_unmarked_class(marking_factors(spec), stabilizer, start)
+    swept = [t for t in enumerate_sheets(spec) if t.perms == perms]
     assert coordinates == [read(t.labels) for t in swept]
     assert table.keys() == group
     covered = []
