@@ -45,20 +45,15 @@ SCHEMA_VERSION = 1
 
 def _spec_from_args(args) -> HurwitzSpec:
     """Build the spec, naming the offending flag on parse errors."""
+    fields = {}
+    for name in ("degrees", "genera", "profiles"):
+        text = getattr(args, name)
+        try:
+            fields[name] = parse_profiles(text) if name == "profiles" else parse_int_csv(text, name)
+        except SpecError as exc:
+            raise SpecError(f"--{name}: {exc}") from None
     try:
-        degrees = parse_int_csv(args.degrees, "degrees")
-    except SpecError as exc:
-        raise SpecError(f"--degrees: {exc}") from None
-    try:
-        genera = parse_int_csv(args.genera, "genera")
-    except SpecError as exc:
-        raise SpecError(f"--genera: {exc}") from None
-    try:
-        profiles = parse_profiles(args.profiles)
-    except SpecError as exc:
-        raise SpecError(f"--profiles: {exc}") from None
-    try:
-        return HurwitzSpec(degrees=degrees, genera=genera, profiles=profiles)
+        return HurwitzSpec(**fields)
     except SpecError as exc:
         raise SpecError(f"--degrees/--genera/--profiles: {exc}") from None
 

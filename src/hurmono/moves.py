@@ -173,7 +173,9 @@ def class_graph(spec: HurwitzSpec, classes, auts, locate):
     space, given their Aut(U) and the scan's ``locate`` (sheets._scan):
     (stabilizers, target, voltage).
 
-    Each move runs once per class U, on its first marking.  The move around
+    It builds each class's first marking, coordinate reader and H_U once,
+    the one pass of the lift and the sheet graph that does.  Each move runs
+    once per class U, on its first marking.  The move around
     b sends the u-th class to the target[b][u]-th, U', and the sheet
     (U, g H_U) to (U', g k H_U'), H_U = stabilizers[u] (label_stabilizer).
     k = voltage[b][u] is the coordinate of the image's marking transported by
@@ -187,14 +189,14 @@ def class_graph(spec: HurwitzSpec, classes, auts, locate):
     class U with a voltage in H_U, so that they compose to e on the sheets.
     """
     index = {u: k for k, u in enumerate(classes)}
-    stabilizers = tuple(map(label_stabilizer, classes, auts))
-    e = tuple(range(sum(map(len, spec.profiles))))  # on the label points
-    firsts = [MarkedTuple(u, first_marking(u)) for u in classes]
+    firsts = list(map(first_marking, classes))
     readers = list(map(coordinate_reader, classes))
+    stabilizers = tuple(map(label_stabilizer, readers, firsts, auts))
+    e = tuple(range(sum(map(len, spec.profiles))))  # on the label points
     target, voltage = {}, {}
     for b, move in MOVES.items():
         target[b], voltage[b] = [], []
-        for t in map(move, firsts):
+        for t in map(move, map(MarkedTuple, classes, firsts)):
             found = locate(t.perms)
             if found is None:
                 raise InvariantViolation(f"move around {b} left the sheet set of {spec}")

@@ -16,7 +16,7 @@ loops meet the classes ascending, and the candidates passing the last cycle
 type and the component-signature filter are the U.  The stabilizer reached
 at U is Aut(U).  The scan keeps its orbit tables (Sims's Schreier vectors):
 per prefix with a stabilizer other than {e}, each member of the next fiber's
-class to its orbit's first member, one conjugator onto it, and the next
+class to one conjugator onto it from its orbit's first member, and the next
 table.  _scan's locate reads them to put a tuple in canonical form with its
 conjugator, so neither the moves nor H_U scan a coset.
 
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from operator import itemgetter
 
 from .marked import (
@@ -99,7 +98,7 @@ def unmarked_classes(spec: HurwitzSpec) -> tuple[tuple[Perm, ...], ...]:
 def _scan(spec: HurwitzSpec):
     """(unmarked_classes(spec), Aut(U) per class, locate): locate(t) is (U', w)
     with U' = w t w^-1 the least conjugate of t, read off the orbit tables by
-    w_0, then by each free fiber's entry (p, z, child); None if U' is no class."""
+    w_0, then by each free fiber's entry (z, child); None if U' is no class."""
     check_fiber_count(spec.m)
     d = check_degree(spec.d)
     classes, table = {}, {}  # each class U to Aut(U); the scan's orbit tables
@@ -122,7 +121,7 @@ def _scan(spec: HurwitzSpec):
                 break
             if (entry := level.get(t[k])) is None:
                 return None
-            _, z, level = entry
+            z, level = entry
             if z != e:
                 zi = inverse(z)
                 t, w = (*t[:k], *(conjugate(zi, p) for p in t[k:])), compose(zi, w)
@@ -145,7 +144,8 @@ def enumerate_sheets(spec: HurwitzSpec) -> tuple[MarkedTuple, ...]:
     for u, aut in zip(classes, auts):
         # per fiber, the marking of each coordinate part, shared by the sheets
         marks = [{q: marking_of(p, q, c.start) for q in f} for p, f, c in zip(u, factors, cuts)]
-        coordinates, _ = _sheets_of_unmarked_class(factors, label_stabilizer(u, aut), 0)
+        stabilizer = label_stabilizer(coordinate_reader(u), first_marking(u), aut)
+        coordinates, _ = _sheets_of_unmarked_class(factors, stabilizer, 0)
         out += [MarkedTuple(u, tuple([m[g[c]] for m, c in zip(marks, cuts)])) for g in coordinates]
     return tuple(out)
 
@@ -156,7 +156,7 @@ def _orbit_representatives(prefix, classes, group, table):
     ``group``, which fixes ``prefix``.  The head is the first member p of its
     orbit in ``classes[0]``, and the tail recurses under p's stabilizer; under
     {e} every tuple is least.  ``table`` gets, per member q of ``classes[0]``,
-    (p, the first z in ``group`` with z p z^-1 = q, the tail's table)."""
+    (the first z in ``group`` with z p z^-1 = q, the tail's table)."""
     if len(group) == 1 or not classes:
         for tail in itertools.product(*classes):
             yield (*prefix, *tail), group
@@ -166,7 +166,7 @@ def _orbit_representatives(prefix, classes, group, table):
             images = [conjugate(z, p) for z in group]
             child = {}
             for z, q in zip(group, images):
-                table.setdefault(q, (p, z, child))
+                table.setdefault(q, (z, child))
             stabilizer = [z for z, q in zip(group, images) if q == p]
             yield from _orbit_representatives((*prefix, p), classes[1:], stabilizer, child)
 
@@ -204,14 +204,13 @@ def marking_group_order(spec: HurwitzSpec) -> int:
     )
 
 
-@lru_cache(maxsize=65536)
 def first_marking(perms) -> tuple[LabelVector, ...]:
-    """The marking of coordinate e, label j on the j-th cycle of each fiber;
-    cached, as coordinate_reader is: the class graph and H_U both use them."""
+    """The marking of coordinate e, label j on the j-th cycle of each fiber.
+    The pass that holds the class list builds it and coordinate_reader once
+    per class (moves.class_graph, count_sheets, enumerate_sheets), uncached."""
     return tuple([marking_of(p, itertools.count(), 0) for p in perms])
 
 
-@lru_cache(maxsize=65536)
 def coordinate_reader(perms):
     """The function read(labels, v) that sends a marking of ``perms``,
     transported by v^-1 (labels read at v(x)), to its coordinate in G: its
@@ -229,12 +228,12 @@ def coordinate_reader(perms):
     return lambda labels, v: tuple([base + labels[i][v[x]] for i, x, base in starts])
 
 
-def label_stabilizer(perms, aut) -> frozenset[Perm]:
-    """H_U for the canonical ``perms``, given Aut(perms) = ``aut`` from the
-    scan: the coordinates of its first marking read through every z in
-    ``aut``, the transports by z^-1, which run over Aut(perms) as z does.
-    The markings of the sheet of coordinate g are the coset g H_U."""
-    read, first = coordinate_reader(perms), first_marking(perms)
+def label_stabilizer(read, first, aut) -> frozenset[Perm]:
+    """H_U for a canonical class U, given its coordinate_reader ``read``, its
+    first_marking ``first`` and Aut(U) = ``aut`` from the scan: the
+    coordinates of the first marking read through every z in ``aut``, the
+    transports by z^-1, which run over Aut(U) as z does.  The markings of
+    the sheet of coordinate g are the coset g H_U."""
     return frozenset(read(first, z) for z in aut)
 
 
@@ -242,4 +241,5 @@ def count_sheets(spec: HurwitzSpec) -> int:
     """Number of sheets of the space, sum over unmarked classes U of
     |G|/|H_U| (the markings of U modulo Aut(U)); 0 for empty spaces."""
     order, (classes, auts, _) = marking_group_order(spec), _scan(spec)
-    return sum(order // len(label_stabilizer(u, aut)) for u, aut in zip(classes, auts))
+    readers, firsts = map(coordinate_reader, classes), map(first_marking, classes)
+    return sum(order // len(h) for h in map(label_stabilizer, readers, firsts, auts))

@@ -334,17 +334,39 @@ def test_verify_csv():
 
 
 @pytest.mark.parametrize(
-    "flag, args",
+    "flag, args, error",
     [
-        ("--degrees", ["--degrees", "x", "--genera", "0", "--profiles", "2^4"]),
-        ("--genera", ["--degrees", "2", "--genera", "y", "--profiles", "2^4"]),
-        ("--profiles", ["--degrees", "2", "--genera", "0", "--profiles", "2,?"]),
+        (
+            "--degrees",
+            ["--degrees", "x", "--genera", "0", "--profiles", "2^4"],
+            "malformed degrees: 'x'",
+        ),
+        (
+            "--genera",
+            ["--degrees", "2", "--genera", "y", "--profiles", "2^4"],
+            "malformed genera: 'y'",
+        ),
+        (
+            "--profiles",
+            ["--degrees", "2", "--genera", "0", "--profiles", "2,?"],
+            "malformed partition: '2,?'",
+        ),
+        # fields that parse alone but not together name all three flags
+        (
+            "--degrees/--genera/--profiles",
+            ["--degrees", "2", "--genera", "0,0", "--profiles", "2^4"],
+            "genera length 2 != degrees length 1",
+        ),
+        (
+            "--degrees/--genera/--profiles",
+            ["--degrees", "2", "--genera", "0", "--profiles", "3;2;2;2"],
+            "profile (3,) has weight 3, expected 2",
+        ),
     ],
 )
-def test_malformed_flag_named(flag, args):
+def test_malformed_flag_named(flag, args, error):
     proc = run_cli("sheets", *args)
-    assert proc.returncode == 2
-    assert flag in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {flag}: {error}\n")
 
 
 def test_guard_exit_code():

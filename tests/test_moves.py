@@ -397,12 +397,14 @@ def test_move_that_is_not_a_bijection_is_caught(monkeypatch):
     # With H_U shrunk to {e} on the first class only, the move around zero
     # sends its |G| cosets into the |G|/2 cosets of the second class.
     spec = make_spec("4", "2", "4;4;2,2;2,2")
-    first = unmarked_classes(spec)[0]
+    first = first_marking(unmarked_classes(spec)[0])  # distinct on the three classes
     stabilizer = moves.label_stabilizer
     monkeypatch.setattr(
         moves,
         "label_stabilizer",
-        lambda u, aut: frozenset({tuple(range(6))}) if u == first else stabilizer(u, aut),
+        lambda read, f, aut: (
+            frozenset({tuple(range(6))}) if f == first else stabilizer(read, f, aut)
+        ),
     )
     with pytest.raises(InvariantViolation, match="zero is not a bijection of sheets"):
         build_sheet_graph(spec)
@@ -420,8 +422,8 @@ def count_calls(monkeypatch, name, *modules):
 
 def test_lift_lists_no_marking_and_report_scans_once(monkeypatch):
     # the lift works per class, so its cost does not grow with |G|; the
-    # sheet graph scans once, builds H_U once per class, and makes no label:
-    # neither a marking nor a marked tuple per sheet
+    # sheet graph scans once, builds each class's first marking, reader and
+    # H_U once, and makes no label: neither a marking nor a marked tuple per sheet
     spec = make_spec("1,1,1,1", "0,0,0,0", "1,1,1,1^4")  # |G| = 24^4
     with monkeypatch.context() as patch:
         patch.setattr(sheets, "enumerate_markings", None)
@@ -430,11 +432,20 @@ def test_lift_lists_no_marking_and_report_scans_once(monkeypatch):
     scans = count_calls(monkeypatch, "_scan", moves, sheets)
     graphs = count_calls(monkeypatch, "class_graph", moves)
     stabilizers = count_calls(monkeypatch, "label_stabilizer", moves, sheets)
+    firsts = count_calls(monkeypatch, "first_marking", moves, sheets)
+    readers = count_calls(monkeypatch, "coordinate_reader", moves, sheets)
     markings = count_calls(monkeypatch, "enumerate_markings", marked, sheets)
     tuples = count_calls(monkeypatch, "MarkedTuple", sheets)
     assert len(build_sheet_graph(spec).perms) == 12
     assert scans == graphs == [spec]
     assert (len(stabilizers), len(markings), len(tuples)) == (3, 0, 0)
+    # once per class in each pass that holds the class list
+    classes = list(unmarked_classes(spec))
+    for run in (build_sheet_graph, lifted_components, sheets.count_sheets):
+        firsts.clear()
+        readers.clear()
+        run(spec)
+        assert firsts == readers == classes
     assert len(sheets.enumerate_sheets(spec)) == len(tuples) == 12  # the count sees them
     # the components of the report come from that one scan and class graph
     scans.clear()

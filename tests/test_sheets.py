@@ -161,11 +161,12 @@ def test_orbit_representatives_are_a_transversal(p_mus):
     stabilizers = [[z for z in group if all(conjugate(z, x) == x for x in r)] for r in reps]
     assert [list(stab) for _, stab in found] == stabilizers
     assert sum(len(group) // len(k) for k in stabilizers) == math.prod(map(len, classes))
-    # the table: every member q of the first class to its orbit's least member
-    # and the first z in group order that conjugates that member to q
+    # the table: every member q of the first class to the first z in group
+    # order that conjugates its orbit's least member onto q
     if len(group) > 1:
         assert table.keys() == set(classes[0])
-        for q, (head, z, _) in table.items():
+        for q, (z, _) in table.items():
+            head = conjugate(inverse(z), q)
             assert head == min(conjugate(y, q) for y in group)
             assert z == next(y for y in group if conjugate(y, head) == q)
 
@@ -265,12 +266,12 @@ def test_scan_emits_canonical_forms_once_in_order(monkeypatch):
 def test_base_marking_is_the_first_marking():
     spec = make_spec("4", "1", "2,2^4")
     for perms, aut in zip(*_scan(spec)[:2]):
-        first = first_marking(perms)
+        first, read = first_marking(perms), coordinate_reader(perms)
         assert first == tuple(enumerate_markings(p, mu)[0] for p, mu in zip(perms, spec.profiles))
         # the first marking reads e on the label points, and e is in H_U
         e = tuple(range(sum(map(len, spec.profiles))))
-        assert coordinate_reader(perms)(first, tuple(range(spec.d))) == e
-        stabilizer = label_stabilizer(perms, aut)
+        assert read(first, tuple(range(spec.d))) == e
+        stabilizer = label_stabilizer(read, first, aut)
         assert e in stabilizer
         assert marking_group_order(spec) % len(stabilizer) == 0
 
@@ -331,7 +332,7 @@ def test_marking_coordinates(case):
         for w in itertools.permutations(range(len(perms[0])))
         if all(conjugate(w, p) == p for p in perms)
     ]
-    stabilizer = label_stabilizer(perms, aut)
+    stabilizer = label_stabilizer(coordinate_reader(perms), first, aut)
     assert stabilizer == {read(transport_labels(w, first)) for w in aut}
     # reading through w^-1 is reading after the transport by w
     for w in aut:
